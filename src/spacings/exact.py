@@ -3,7 +3,9 @@
 Route one (``pmf_split``) exploits the fact that the first block lands
 uniformly among the ``n-k+1`` starts of a fresh row and splits it into two
 independent shorter rows; the law of the terminal counts is therefore a
-uniform mixture of convolutions of lower-n laws.
+uniform mixture of convolutions of lower-n laws.  Row m scaled by
+s_m = (m-k+1)! has integer weights w_j = (m-k)!/(s_j s_{m-k-j}), as a!b! divides
+(a+b)! and the arguments sum to at most m-k; ``Fraction``s are formed last.
 
 Route two (``pmf_direct``) never uses that shortcut: it walks the process
 state space directly.  A state is the multiset of currently open runs of
@@ -22,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .model import GapCounts, ProcessParams, single_spacing_state, validate_counts
 
@@ -87,37 +88,42 @@ class Pmf:
         ]
 
 
-def _convolve_states(a: GapCounts, b: GapCounts) -> GapCounts:
-    # one extra hat for the block whose placement produced the two sub-rows
-    return GapCounts(
-        tuple(x + y for x, y in zip(a.counts, b.counts)), a.hats + b.hats + 1
-    )
-
-
 def pmf_split(params: ProcessParams, cap: int = DEFAULT_SPLIT_CAP) -> Pmf:
     """Exact law of the terminal state via the split-and-convolve recursion.
 
-    Rows shorter than k are deterministic.  For n >= k the first block start
-    is uniform on {0..n-k}, leaving independent sub-rows of lengths j and
-    n-k-j whose laws convolve.
+    Rows shorter than k are deterministic.  For m >= k the first block start
+    is uniform on {0..m-k}, so P_m = 1/(m-k+1) * sum_j P_j (*) P_{m-k-j}.
+    Row m is held as integers Q_m = s_m * P_m, s_m = (m-k+1)! (1 for m < k):
+    Q_m = sum_{j <= (m-k)/2} w_j * (Q_j (*) Q_{m-k-j}), w_j = (m-k)!/(s_j s_{m-k-j})
+    doubled when j != m-k-j, an integer as the factorial arguments sum to at
+    most m-3k+2 <= m-k.  Keys are the counts alone (they fix the block count)
+    packed as base-(n+1) digits; no count exceeds n, so adding keys adds count
+    vectors.  Probabilities become ``Fraction(q, s_n)`` only at the end.
     """
     n, k = params.n, params.k
     if n > cap:
         raise CapExceededError(f"pmf_split asked for n={n} above cap={cap}")
-    tables: list[dict[GapCounts, Fraction]] = []
-    for m in range(n + 1):
-        if m < k:
-            tables.append({single_spacing_state(m, k): Fraction(1)})
-            continue
-        share = Fraction(1, m - k + 1)
-        acc: dict[GapCounts, Fraction] = {}
-        for j in range(m - k + 1):
-            for s1, p1 in tables[j].items():
-                for s2, p2 in tables[m - k - j].items():
-                    key = _convolve_states(s1, s2)
-                    acc[key] = acc.get(key, Fraction(0)) + p1 * p2
-        tables.append({s: p * share for s, p in acc.items()})
-    return Pmf(params, tables[n])
+    base = n + 1
+    scale = [1] * (n + 1)
+    # rows m < k: the empty row, then one spacing of length m
+    tables: list[dict[int, int]] = [{base ** (m - 1) if m else 0: 1} for m in range(min(k, base))]
+    for m in range(k, n + 1):
+        t = m - k
+        scale[m] = scale[m - 1] * (t + 1)  # scale[m - 1] == t!
+        acc: dict[int, int] = {}
+        for j in range(t // 2 + 1):
+            w = scale[m - 1] // (scale[j] * scale[t - j]) * (1 if 2 * j == t else 2)
+            for c1, q1 in tables[j].items():
+                wq1 = w * q1
+                for c2, q2 in tables[t - j].items():
+                    acc[c1 + c2] = acc.get(c1 + c2, 0) + wq1 * q2
+        tables.append(acc)
+    probs = {}
+    for key, q in tables[n].items():
+        counts = tuple(key // base**i % base for i in range(k - 1))
+        hats = (n - sum(j * c for j, c in enumerate(counts, start=1))) // k
+        probs[GapCounts(counts, hats)] = Fraction(q, scale[n])
+    return Pmf(params, probs)
 
 
 def pmf_direct(params: ProcessParams, cap: int = DEFAULT_DIRECT_CAP) -> Pmf:
@@ -260,7 +266,9 @@ def chi_square_gof(
         return 0.0, 0, 1.0
     stat = sum((obs - exp) ** 2 / exp for exp, obs in cells)
     dof = len(cells) - 1
-    pvalue = float(_scipy_stats.chi2.sf(stat, dof))
+    from scipy.stats import chi2  # imported on use: most of the package's import time
+
+    pvalue = float(chi2.sf(stat, dof))
     return stat, dof, pvalue
 
 

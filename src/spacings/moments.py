@@ -243,15 +243,6 @@ def cross_moment_recursion_exact(
     return second
 
 
-def _binomial_triangle(m_max: int) -> np.ndarray:
-    binom = np.zeros((m_max + 1, m_max + 1))
-    for m in range(m_max + 1):
-        binom[m, 0] = 1.0
-        for i in range(1, m + 1):
-            binom[m, i] = binom[m - 1, i - 1] + (binom[m - 1, i] if i <= m - 1 else 0.0)
-    return binom
-
-
 def projected_moment_recursion(
     projection: Sequence[float], k: int, n_max: int, order: int = 8
 ) -> ProjectedMomentTable:
@@ -260,6 +251,10 @@ def projected_moment_recursion(
     raw[n, m] = 1/(n-k+1) * sum_j sum_i C(m, i) raw[j, i] raw[n-k-j, m-i],
     seeded with the deterministic rows below k.  Standardized moments follow
     by re-centering at the mean and scaling by n**(-m/2).
+
+    Each step gathers only the anti-diagonal entries (i, m-i), m <= order,
+    of pair = raw[:L].T @ reversed(raw[:L]).  Entries beyond them may
+    overflow; even a zero weight on one (0 * inf = nan) would trip the guard.
     """
     _check_kn(k, n_max)
     c = tuple(float(v) for v in projection)
@@ -268,38 +263,35 @@ def projected_moment_recursion(
     if order < 2:
         raise ValueError("order must be >= 2")
     M = order
-    binom = _binomial_triangle(M)
+    binom = np.array([[math.comb(m, i) for i in range(M + 1)] for m in range(M + 1)], float)
     raw = np.zeros((n_max + 1, M + 1))
-    raw[0] = 0.0
-    raw[0, 0] = 1.0
+    raw[: k + 1, 0] = 1.0
     with np.errstate(over="ignore"):
-        for n in range(1, min(k, n_max + 1)):
-            raw[n] = float(c[n - 1]) ** np.arange(M + 1)
-    if n_max >= k:
-        raw[k, 0] = 1.0
-    for n in range(k + 1, n_max + 1):
-        L = n - k + 1
-        a = raw[:L]
-        # pair[i, l] = sum_j raw[j, i] * raw[n-k-j, l]; only the anti-diagonals
-        # i + l = m <= M are read, entries above them may overflow harmlessly.
-        # Non-finite values that reach a read entry trip the guard below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pair = a.T @ a[::-1]
-        for m in range(M + 1):
-            raw[n, m] = binom[m, : m + 1] @ pair[np.arange(m + 1), m - np.arange(m + 1)] / L
+        raw[1:k] = (np.array(c)[:, None] ** np.arange(M + 1))[:n_max]
+    # rev[n_max - n] = raw[n], so rows n-k, ..., 0 are contiguous in rev[n_max-n+k:]
+    rev = raw[::-1].copy()
+    i_idx, l_idx = np.nonzero(np.add.outer(np.arange(M + 1), np.arange(M + 1)) <= M)
+    m_idx = i_idx + l_idx
+    flat = i_idx * (M + 1) + l_idx
+    weight = binom[m_idx, i_idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(k + 1, n_max + 1):
+            L = n - k + 1
+            pair = raw[:L].T @ rev[n_max + 1 - L :]
+            raw[n] = np.bincount(m_idx, pair.ravel()[flat] * weight, minlength=M + 1) / L
+            rev[n_max - n] = raw[n]
     if not np.isfinite(raw).all():
         raise OverflowError(
             "projected moment recursion left double range; lower order or n_max"
         )
     std = np.zeros_like(raw)
     std[:, 0] = 1.0
-    mu = raw[:, 1]
-    for n in range(1, n_max + 1):
-        scale = float(n) ** -0.5
-        for m in range(1, M + 1):
-            i = np.arange(m + 1)
-            central = binom[m, : m + 1] @ (raw[n, : m + 1] * (-mu[n]) ** (m - i))
-            std[n, m] = central * scale**m
+    r = raw[1:]
+    powers = (-r[:, 1:2]) ** np.arange(M + 1)
+    scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
+    for m in range(1, M + 1):
+        central = (r[:, : m + 1] * powers[:, m::-1]) @ binom[m, : m + 1]
+        std[1:, m] = central * scale**m
     return ProjectedMomentTable(k, c, raw, std)
 
 

@@ -19,6 +19,7 @@ from spacings.exact import (
     total_variation_empirical,
 )
 from spacings.model import GapCounts, ProcessParams
+from spacings.moments import cross_moment_recursion_exact, mean_recursion_exact
 
 
 def plain(pmf):
@@ -53,6 +54,20 @@ def test_direct_route_equals_enumerator(k):
     for n in range(0, 13):
         got = plain(pmf_direct(ProcessParams(n, k)))
         assert got == oracles.law(n, k), (n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_split_route_equals_direct_up_to_direct_cap(k):
+    for n in range(0, 21):
+        params = ProcessParams(n, k)
+        assert pmf_split(params).probs == pmf_direct(params).probs, (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(80, 2), (48, 3), (40, 5)])
+def test_split_moments_match_recursions_above_cap(n, k):
+    m = moments_from_pmf(pmf_split(ProcessParams(n, k), cap=n))
+    assert list(m.mean) == mean_recursion_exact(k, n)[n]
+    assert [list(r) for r in m.second_raw] == cross_moment_recursion_exact(k, n)[n]
 
 
 def test_pmf_is_an_exact_distribution():

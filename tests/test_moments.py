@@ -124,6 +124,25 @@ def test_projected_exact_twin_agrees():
             assert fl.raw[n, m] == pytest.approx(float(ex[n][m]), rel=1e-12, abs=1e-12)
 
 
+def test_projected_exact_twin_agrees_at_high_order():
+    ex = projected_moment_recursion_exact((1, 2), 3, 40, order=8)
+    fl = projected_moment_recursion([1.0, 2.0], 3, 40, order=8)
+    want = np.array([[float(v) for v in row] for row in ex])
+    np.testing.assert_allclose(fl.raw, want, rtol=1e-12, atol=0)
+
+
+def test_projected_raw_survives_overflow_off_the_anti_diagonals():
+    # raw[n, m] ~ (1e30 n)^m: the pair entries with i + l > 8 overflow to inf,
+    # yet every read entry stays finite, so no OverflowError may be raised
+    big = projected_moment_recursion([1e30], 2, 60, 8)
+    unit = projected_moment_recursion([1.0], 2, 60, 8)
+    for m in range(9):
+        want = 1e30**m * unit.raw[:, m]
+        ok = np.isfinite(want)
+        assert ok.any(), m
+        np.testing.assert_allclose(big.raw[ok, m], want[ok], rtol=1e-12, atol=0)
+
+
 def test_standardized_moments_shape_and_centering():
     t = projected_moment_recursion([1.0], 2, 300, order=6)
     assert t.standardized.shape == (301, 7)
