@@ -231,6 +231,18 @@ def _constants_obj(c: asy.AsymptoticConstants) -> dict:
     }
 
 
+def _constants_block(k: int, quad: asy.AsymptoticConstants, ext: asy.AsymptoticConstants) -> dict:
+    return {
+        "k": k,
+        "quadrature": _constants_obj(quad),
+        "extrapolation": _constants_obj(ext),
+        "route_gap": {
+            "rates": float(np.abs(quad.rates - ext.rates).max()),
+            "cov_rates": float(np.abs(quad.cov_rates - ext.cov_rates).max()),
+        },
+    }
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = ProcessParams(args.n, args.k)
     config = simulate.SimConfig(
@@ -327,19 +339,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_asympt(args: argparse.Namespace) -> int:
     quad = asy.constants_by_quadrature(args.k, args.nodes, args.inner_nodes)
     ext = asy.constants_by_extrapolation(args.k, args.n_max)
-    payload = {
-        "k": args.k,
-        "quadrature": _constants_obj(quad),
-        "extrapolation": _constants_obj(ext),
-        "route_gap": {
-            "rates": float(np.abs(quad.rates - ext.rates).max()),
-            "cov_rates": float(np.abs(quad.cov_rates - ext.cov_rates).max()),
-        },
-    }
     env = build_envelope(
         "asympt",
         {"k": args.k, "nodes": args.nodes, "inner_nodes": args.inner_nodes, "n_max": args.n_max},
-        payload,
+        _constants_block(args.k, quad, ext),
     )
     _write(env, args.out, args.format)
     return 0
@@ -369,21 +372,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    blocks = []
-    for k in range(2, args.k_max + 1):
-        quad = asy.constants_by_quadrature(k)
-        ext = asy.constants_by_extrapolation(k, args.n_max)
-        blocks.append(
-            {
-                "k": k,
-                "quadrature": _constants_obj(quad),
-                "extrapolation": _constants_obj(ext),
-                "route_gap": {
-                    "rates": float(np.abs(quad.rates - ext.rates).max()),
-                    "cov_rates": float(np.abs(quad.cov_rates - ext.cov_rates).max()),
-                },
-            }
+    blocks = [
+        _constants_block(
+            k, asy.constants_by_quadrature(k), asy.constants_by_extrapolation(k, args.n_max)
         )
+        for k in range(2, args.k_max + 1)
+    ]
     env = build_envelope(
         "report", {"k_max": args.k_max, "n_max": args.n_max}, {"constants": blocks}
     )

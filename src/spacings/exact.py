@@ -279,10 +279,15 @@ def sorted_preview(states: Iterable[GapCounts], limit: int = 3) -> list[GapCount
 def empirical_counter(
     counts: np.ndarray, hats: np.ndarray
 ) -> dict[GapCounts, int]:
-    """Collapse simulation output arrays into a state counter."""
-    combined = np.column_stack([counts, hats])
-    uniq, freq = np.unique(combined, axis=0, return_counts=True)
+    """Collapse simulation output arrays into a state counter.
+
+    Each (counts, hats) row is keyed by one opaque bytes value, so the sort
+    behind ``np.unique`` compares one key per row instead of row by row.
+    """
+    rows = np.ascontiguousarray(np.column_stack([counts, hats]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, freq = np.unique(keys, return_index=True, return_counts=True)
     return {
-        GapCounts(tuple(int(v) for v in row[:-1]), int(row[-1])): int(f)
-        for row, f in zip(uniq, freq)
+        GapCounts(tuple(rows[i, :-1].tolist()), int(rows[i, -1])): int(f)
+        for i, f in zip(first, freq)
     }

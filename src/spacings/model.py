@@ -9,7 +9,7 @@ each length 1..k-1 remain and by the number of blocks placed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -138,13 +138,3 @@ def gap_counts_from_obj(obj: dict[str, Any]) -> tuple[ProcessParams, GapCounts]:
     if not validate_counts(params, g):
         raise ValueError(f"invalid terminal state for n={params.n}, k={params.k}: {g}")
     return params, g
-
-
-def counts_from_gaps(params: ProcessParams, gaps: Iterable[int], hats: int) -> GapCounts:
-    """Build a GapCounts from leftover run lengths (all must be < k)."""
-    counts = [0] * (params.k - 1)
-    for g in gaps:
-        if not 1 <= g < params.k:
-            raise ValueError(f"leftover run of length {g} is not terminal for k={params.k}")
-        counts[g - 1] += 1
-    return GapCounts(tuple(counts), hats)

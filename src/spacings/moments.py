@@ -29,7 +29,6 @@ __all__ = [
     "AveragingLimitResult",
     "DriftBoundResult",
     "mean_recursion",
-    "mean_recursion_cumulative",
     "mean_recursion_exact",
     "cross_moment_recursion",
     "cross_moment_recursion_exact",
@@ -151,27 +150,6 @@ def mean_recursion(k: int, n_max: int) -> MeanTable:
     for n in range(k + 1, n_max + 1):
         L = n - k + 1
         g[n] = ((L - 1) * g[n - 1] + 2.0 * g[n - k]) / L
-    return MeanTable(k, g)
-
-
-def mean_recursion_cumulative(k: int, n_max: int) -> MeanTable:
-    """Expected counts via the averaged form, kept as an independent check.
-
-    mean[n] = 2/(n-k+1) * sum_{j<=n-k} mean[j].  The running sum is
-    compensated so the two forms agree to ~1e-12 relative even at n ~ 1e4.
-    """
-    _check_kn(k, n_max)
-    g = np.zeros((n_max + 1, k - 1))
-    _seed_mean_rows(k, n_max, g)
-    total = np.zeros(k - 1)
-    comp = np.zeros(k - 1)
-    for n in range(k, n_max + 1):
-        # Kahan update with row n-k entering the window
-        y = g[n - k] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        g[n] = 2.0 * total / (n - k + 1)
     return MeanTable(k, g)
 
 

@@ -1,11 +1,14 @@
 """Monte Carlo engine for the block-placement process.
 
-Correctness of the sampling step rests on one line: choosing an open run
-with probability proportional to its feasible-start count (g - k + 1) and
-then a uniform offset gives every feasible block probability
-((g-k+1)/W) * (1/(g-k+1)) = 1/W, i.e. the uniform choice over all feasible
-blocks that defines the process.  Drawing a single uniform integer in
-[0, W) and decoding it as (run, offset) realizes both choices at once.
+The vector engine rests on the splitting property: a fresh row's first
+block is uniform over its n-k+1 starts, and the two sub-rows it leaves
+evolve as independent fresh rows, so all open runs of a chunk are split at
+once, breadth first.  The block-uniform decode belongs to the scalar
+reference (``simulate_once``), which never takes that shortcut: choosing an
+open run with probability proportional to its feasible-start count
+(g - k + 1) and then a uniform offset gives every feasible block probability
+((g-k+1)/W) * (1/(g-k+1)) = 1/W, and one uniform integer in [0, W) decoded
+as (run, offset) realizes both choices at once.
 
 Reproducibility contract: replications are processed in fixed-size chunks;
 chunk c draws from PCG64 seeded with SeedSequence(entropy=seed,
@@ -18,13 +21,15 @@ by summation in chunk order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .model import GapCounts, ProcessParams, single_spacing_state, validate_counts_batch
+from .exact import empirical_counter
+from .model import GapCounts, ProcessParams, validate_counts_batch
 
 __all__ = [
     "SimConfig",
@@ -44,8 +49,8 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 
 def chunk_size(n: int, k: int) -> int:
     """Replications per chunk; fixed by (n, k) so stream layout never varies."""
-    slots = max(1, n // k)
-    return max(256, min(1 << 16, _CHUNK_ELEMENT_BUDGET // slots))
+    blocks = max(1, n // k)  # bounds the runs one split round holds per replication
+    return max(256, min(1 << 16, _CHUNK_ELEMENT_BUDGET // blocks))
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,6 @@ class GapPool:
     def from_row(cls, params: ProcessParams) -> "GapPool":
         gaps = [params.n] if params.n >= 1 else []
         return cls(params.k, gaps, max(params.n - params.k + 1, 0))
-
-    def recompute_weight(self) -> int:
-        return sum(max(g - self.k + 1, 0) for g in self.gaps)
 
 
 def sample_gap(pool: GapPool, rng: np.random.Generator) -> tuple[int, int]:
@@ -141,69 +143,25 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _simulate_chunk(
     params: ProcessParams, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lockstep run of m replications; returns (counts, hats)."""
+    """Split-tree run of m replications; returns (counts, hats)."""
     n, k = params.n, params.k
-    counts = np.zeros((m, k - 1), dtype=np.int64)
+    counts = np.zeros(m * (k - 1), dtype=np.int64)
     hats = np.zeros(m, dtype=np.int64)
-    if n < k:
-        base = single_spacing_state(n, k)
-        counts[:] = np.asarray(base.counts, dtype=np.int64)
-        return counts, hats
-
-    slots = n // k
-    gaps = np.zeros((m, slots), dtype=np.int64)
-    gaps[:, 0] = n
-    nslots = np.ones(m, dtype=np.int64)
-
+    row = np.arange(m)
+    run = np.full(m, n, dtype=np.int64)
     while True:
-        width = int(nslots.max())
-        if width == 0:
+        short = (run >= 1) & (run < k)
+        counts += np.bincount(row[short] * (k - 1) + run[short] - 1, minlength=counts.size)
+        open_ = run >= k
+        row, run = row[open_], run[open_]
+        if row.size == 0:
             break
-        w = gaps[:, :width] - (k - 1)
-        np.maximum(w, 0, out=w)
-        cw = np.cumsum(w, axis=1)
-        total = cw[:, -1]
-        active = total > 0
-        # one uniform integer per row decodes to (slot, offset); inactive rows
-        # draw from [0, 1) so stream consumption stays layout-stable
-        u = rng.integers(0, np.maximum(total, 1))
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        u_r = u[rows]
-        s_star = (cw[rows] <= u_r[:, None]).sum(axis=1)
-        g = gaps[rows, s_star]
-        before = np.where(s_star > 0, cw[rows, np.maximum(s_star - 1, 0)], 0)
-        offset = u_r - before
-        left = offset
-        right = g - k - offset
-        hats[rows] += 1
-        for child in (left, right):
-            sel = (child >= 1) & (child < k)
-            if sel.any():
-                np.add.at(counts, (rows[sel], child[sel] - 1), 1)
-        lbig = left >= k
-        rbig = right >= k
-        both = lbig & rbig
-        if both.any():
-            rb = rows[both]
-            gaps[rb, s_star[both]] = left[both]
-            gaps[rb, nslots[rb]] = right[both]
-            nslots[rb] += 1
-        only_l = lbig & ~rbig
-        if only_l.any():
-            gaps[rows[only_l], s_star[only_l]] = left[only_l]
-        only_r = rbig & ~lbig
-        if only_r.any():
-            gaps[rows[only_r], s_star[only_r]] = right[only_r]
-        neither = ~lbig & ~rbig
-        if neither.any():
-            rn = rows[neither]
-            last = nslots[rn] - 1
-            gaps[rn, s_star[neither]] = gaps[rn, last]
-            gaps[rn, last] = 0
-            nslots[rn] -= 1
+        hats += np.bincount(row, minlength=m)
+        offset = rng.integers(0, run - k + 1)
+        row = np.concatenate([row, row])
+        run = np.concatenate([offset, run - k - offset])
 
+    counts = counts.reshape(m, k - 1)
     if not validate_counts_batch(params, counts, hats).all():
         raise AssertionError("engine produced a non-conserving terminal state")
     return counts, hats
@@ -240,14 +198,10 @@ def state_counter(
     params: ProcessParams, replications: int, seed: int
 ) -> dict[GapCounts, int]:
     """Empirical distribution of terminal states over many replications."""
-    acc: dict[GapCounts, int] = {}
+    acc: Counter[GapCounts] = Counter()
     for counts, hats in iter_state_chunks(params, replications, seed):
-        combined = np.column_stack([counts, hats])
-        uniq, freq = np.unique(combined, axis=0, return_counts=True)
-        for row, f in zip(uniq, freq):
-            key = GapCounts(tuple(int(v) for v in row[:-1]), int(row[-1]))
-            acc[key] = acc.get(key, 0) + int(f)
-    return acc
+        acc.update(empirical_counter(counts, hats))
+    return dict(acc)
 
 
 @dataclass
@@ -260,6 +214,7 @@ class _ChunkSums:
     pow_sums: np.ndarray  # (2*order+1,), sums of (y - shift)**p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # simulate_batch checks the sums
 def _chunk_sums(
     counts: np.ndarray, c: np.ndarray, shift: float, order: int
 ) -> _ChunkSums:
@@ -311,13 +266,15 @@ class SampleStats:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite moments raise below
 def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
     """Run the full batch and reduce to :class:`SampleStats`.
 
     The projection shift (used to keep high powers well-conditioned) is the
     rounded projected mean of chunk 0, which makes it a deterministic
     function of (params, seed); every chunk is then summed against the same
-    shift and partials are reduced in chunk order.
+    shift and partials are reduced in chunk order.  Raises OverflowError
+    when the power sums or standardized moments leave double range.
     """
     params = config.params
     n, k = params.n, params.k
@@ -365,18 +322,14 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
         ) @ (t[: p + 1] * (-delta) ** (p - i))
     scale = float(n) ** -0.5 if n >= 1 else 0.0
     std = np.array([central[p] * scale**p for p in range(order + 1)])
-    if n >= 1:
-        var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)
-        std_se = np.sqrt(var_p / m) * scale ** np.arange(order + 1)
-    else:
-        std_se = np.zeros(order + 1)
-    if n == 0:
-        std = np.zeros(order + 1)
-        std[0] = 1.0
+    var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)
+    std_se = np.sqrt(var_p / m) * scale ** np.arange(order + 1)
+    if not all(np.isfinite(a).all() for a in (pow_sums, std, std_se)):
+        raise OverflowError(f"moments to order {2 * order} left double range; lower the order")
 
     rng_id = (
         f"numpy {np.__version__} PCG64/SeedSequence(entropy=seed, spawn_key=(chunk,)), "
-        f"chunk_size={size}"
+        f"split-tree rounds, chunk_size={size}"
     )
     return SampleStats(
         config=config,

@@ -124,6 +124,9 @@ def test_resource_errors_exit_2(capsys):
     assert code == 2
     code, _ = run(capsys, "moments", "--k", "1", "--n-max", "10")
     assert code == 2
+    argv = ("--n", "400", "--k", "2", "--order", "200", "--replications", "2000")
+    code, out = run(capsys, "simulate", *argv, "--threads", "1")
+    assert code == 2 and out == ""
 
 
 def test_bad_projection_is_a_usage_error(capsys):

@@ -10,7 +10,6 @@ import oracles
 from spacings.model import (
     GapCounts,
     ProcessParams,
-    counts_from_gaps,
     gap_counts_from_obj,
     gap_counts_to_obj,
     single_spacing_state,
@@ -49,13 +48,6 @@ def test_single_spacing_state_small_rows():
 def test_vacancy_weights_counts_by_length():
     assert vacancy(GapCounts((3, 2), 4)) == 3 * 1 + 2 * 2
     assert vacancy(GapCounts((0, 0), 5)) == 0
-
-
-def test_counts_from_gaps_builds_state():
-    p = ProcessParams(7, 3)
-    assert counts_from_gaps(p, [1, 1, 2], 1) == GapCounts((2, 1), 1)
-    with pytest.raises(ValueError):
-        counts_from_gaps(p, [3], 1)  # gap not shorter than k
 
 
 def test_validate_accepts_every_reachable_state():

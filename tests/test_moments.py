@@ -15,7 +15,6 @@ from spacings.moments import (
     cross_moment_recursion_exact,
     mean_drift_bound,
     mean_recursion,
-    mean_recursion_cumulative,
     mean_recursion_exact,
     projected_moment_recursion,
     projected_moment_recursion_exact,
@@ -61,7 +60,7 @@ def test_float_mean_tracks_exact():
 
 def test_one_step_and_cumulative_forms_agree():
     a = mean_recursion(2, 3000).values
-    b = mean_recursion_cumulative(2, 3000).values
+    b = oracles.mean_recursion_cumulative(2, 3000)
     rel = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
     assert rel.max() < 1e-12
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
 from spacings.moments import mean_recursion_exact
@@ -40,7 +41,7 @@ def test_chunk_size_bounds_and_determinism():
     assert chunk_size(10, 2) == chunk_size(10, 2)
     assert 256 <= chunk_size(10, 2) <= 1 << 16
     assert 256 <= chunk_size(10**6, 2) <= 1 << 16
-    # more slots per replication means smaller chunks
+    # more blocks per replication means smaller chunks
     assert chunk_size(10**6, 2) <= chunk_size(100, 2)
 
 
@@ -58,7 +59,7 @@ def test_sample_gap_decode_is_block_uniform():
     for u in range(5):
         pool = GapPool(2, [4, 3], 5)
         seen.append(sample_gap(pool, ScriptedRNG([u])))
-        assert pool.weight == pool.recompute_weight()
+        assert pool.weight == oracles.recompute_weight(pool)
     assert seen == [(4, 0), (4, 1), (4, 2), (3, 0), (3, 1)]
 
 
@@ -68,7 +69,7 @@ def test_sample_gap_splits_the_chosen_run():
     assert (g, off) == (6, 3)
     # children: left 3, right 6-2-3 = 1
     assert sorted(pool.gaps) == [1, 3]
-    assert pool.weight == pool.recompute_weight() == 2
+    assert pool.weight == oracles.recompute_weight(pool) == 2
 
 
 def test_sample_gap_rejects_exhausted_pool():
@@ -102,8 +103,9 @@ def test_scalar_engine_matches_exact_law():
     assert p > 1e-6
 
 
-def test_vector_engine_matches_exact_law():
-    params = ProcessParams(8, 2)
+@pytest.mark.parametrize("n,k", [(8, 2), (11, 3), (13, 5), (2, 3)])
+def test_vector_engine_matches_exact_law(n, k):
+    params = ProcessParams(n, k)
     pmf = pmf_split(params)
     counter = state_counter(params, 200_000, seed=7)
     assert sum(counter.values()) == 200_000
@@ -148,10 +150,11 @@ def test_seed_changes_results():
     )
 
 
-def test_batch_mean_matches_exact_mean():
-    cfg = SimConfig(ProcessParams(10, 3), 120_000, seed=9)
+@pytest.mark.parametrize("n,k", [(10, 3), (200, 3)])
+def test_batch_mean_matches_exact_mean(n, k):
+    cfg = SimConfig(ProcessParams(n, k), 120_000, seed=9)
     stats = simulate_batch(cfg)
-    exact = [float(v) for v in mean_recursion_exact(3, 10)[10]]
+    exact = [float(v) for v in mean_recursion_exact(k, n)[n]]
     for got, want, se in zip(stats.mean, exact, stats.mean_se):
         assert abs(got - want) < 6 * se
 
