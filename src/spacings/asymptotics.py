@@ -7,10 +7,11 @@ limits have closed integral forms against the weight
     exp_weight(y, k) = exp(2 * (y + y^2/2 + ... + y^(k-1)/(k-1))),
 
 which this module evaluates with Gauss-Legendre rules.  The covariance
-kernel is assembled from large mutually cancelling pieces near y = 1, so
-every evaluation carries a cancellation monitor; the integrals themselves
-stay accurate because the outer quadrature weights vanish at the endpoints
-faster than the pieces blow up.
+kernel is the bounded difference of two pieces that each grow like
+(1-y)^-2 near y = 1, so its integral loses more digits the closer the last
+node sits to 1; ``cov_rates_by_quadrature`` estimates that error.
+``mean_gf`` and ``cov_kernel`` are one-node views of the arrays that the
+quadrature integrates.
 
 An independent route to the same constants is finite-n recursion plus
 extrapolation (:mod:`spacings.moments`); ``constants_by_extrapolation`` and
@@ -47,12 +48,13 @@ __all__ = [
     "constants_by_extrapolation",
     "DEFAULT_OUTER_NODES",
     "DEFAULT_INNER_NODES",
-    "CANCELLATION_FLAG_RATIO",
+    "COV_REL_TOL",
 ]
 
 DEFAULT_OUTER_NODES = 128
 DEFAULT_INNER_NODES = 64
-CANCELLATION_FLAG_RATIO = 1e8
+# relative accuracy callers need from the covariance quadrature (check 02)
+COV_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +116,45 @@ def rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> np.nda
     return np.array([scale * float(base @ y**j) for j in range(1, k)])
 
 
+def _mean_gf_table(y: np.ndarray, k: int, inner: GaussLegendreRule) -> np.ndarray:
+    """``mean_gf(y[n], i, k, inner)`` for every node and i = 1..k-1, as gf[n, i-1].
+
+    The inner rule is mapped onto [0, y] at every node at once; writing
+    t^i = y^i x^i keeps every temporary at nodes x inner floats.
+    """
+    x = inner.nodes
+    t = y[:, None] * x[None, :]
+    f = (1.0 - t) * exp_weight(t, k) * inner.weights
+    powers = np.arange(1, k)
+    # y^i from t^i = y^i x^i, and one more y for the width of [0, y]
+    integral = y[:, None] ** (powers + 1) * (f @ x[:, None] ** powers)
+    return 2.0 * integral / ((1.0 - y) ** 2 * exp_weight(y, k))[:, None]
+
+
+def _cov_kernel_table(
+    y: np.ndarray, k: int, gf: np.ndarray, rates: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance kernel at every node and (i, j) pair, and its pieces.
+
+    Returns (value, mags), both exactly symmetric in (i, j): value[n, i-1,
+    j-1] is the kernel at y[n], and mags[:, n, i-1, j-1] holds the
+    magnitudes of its diagonal, product and rate-correction pieces.
+    """
+    d = k - 1
+    w = 1.0 - y
+    yi = y[:, None] ** np.arange(1, k)
+    b = yi + (y ** (k - 1))[:, None] * gf
+    diag = np.zeros((len(y), d, d))
+    diag[:, range(d), range(d)] = w[:, None] * yi
+    prod = (w * w)[:, None, None] * (b[:, :, None] * b[:, None, :])
+    # polynomial part of the rate correction, written in w = 1 - y
+    lead = 3.0 + (4 * k - 5) * w + 2.0 * (k - 1) ** 2 * w * w - 2.0 * k * k * w**4
+    trail = 2.0 + (4 * k - 3) * w + (2 * k - 1) ** 2 * w * w - 4.0 * k * k * w**3
+    r = np.asarray(rates, dtype=float)[:d]
+    corr = np.outer(r, r) * ((lead - trail * y**k) / (w * w))[:, None, None]
+    return diag + prod - corr, np.abs(np.stack([diag, prod, corr]))
+
+
 def mean_gf(z: float, i: int, k: int, inner: GaussLegendreRule | None = None) -> float:
     """Generating function of the expected length-i spacing counts.
 
@@ -125,33 +166,8 @@ def mean_gf(z: float, i: int, k: int, inner: GaussLegendreRule | None = None) ->
         raise ValueError(f"mean_gf needs 0 <= z < 1, got z={z}")
     if not 1 <= i <= k - 1:
         raise ValueError(f"spacing length i must lie in 1..{k - 1}")
-    if z == 0.0:
-        return 0.0
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    t, w = inner.on(0.0, z)
-    integral = float(w @ (t**i * (1.0 - t) * exp_weight(t, k)))
-    return 2.0 * integral / ((1.0 - z) ** 2 * exp_weight(z, k))
-
-
-def _cov_poly(w: float, k: int, zk: float) -> float:
-    # polynomial part of the covariance kernel, written in w = 1 - y
-    lead = 3.0 + (4 * k - 5) * w + 2.0 * (k - 1) ** 2 * w * w - 2.0 * k * k * w**4
-    trail = 2.0 + (4 * k - 3) * w + (2 * k - 1) ** 2 * w * w - 4.0 * k * k * w**3
-    return lead - trail * zk
-
-
-def _cov_kernel_terms(
-    y: float, i: int, j: int, k: int, gfi: float, gfj: float, rates: Sequence[float]
-) -> tuple[float, float]:
-    # gfi/gfj are mean_gf(y, i/j, k); split out so quadrature can cache them
-    w = 1.0 - y
-    diag = w * y**i if i == j else 0.0
-    bi = y**i + y ** (k - 1) * gfi
-    bj = y**j + y ** (k - 1) * gfj
-    prod = w * w * bi * bj
-    corr = rates[i - 1] * rates[j - 1] * _cov_poly(w, k, y**k) / (w * w)
-    value = diag + prod - corr
-    return value, max(abs(diag), abs(prod), abs(corr))
+    return float(_mean_gf_table(np.array([z], dtype=float), k, inner)[0, i - 1])
 
 
 def cov_kernel(
@@ -167,27 +183,26 @@ def cov_kernel(
     The kernel combines a diagonal piece, a product of mean generating
     functions, and a rate-correction polynomial divided by (1-y)^2; the last
     two diverge separately as y -> 1 while their difference stays bounded.
-    Returns (value, max_abs_term) so callers can monitor the cancellation;
-    a ratio max_abs_term/|value| above ``CANCELLATION_FLAG_RATIO`` marks the
-    evaluation as cancellation-dominated.
+    Returns (value, max_abs_term); their ratio says how many digits the
+    evaluation at y loses to that cancellation.
     """
     if not 0.0 <= y < 1.0:
         raise ValueError(f"cov_kernel needs 0 <= y < 1, got y={y}")
     if not (1 <= i <= k - 1 and 1 <= j <= k - 1):
         raise ValueError(f"spacing lengths must lie in 1..{k - 1}")
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    gfi = mean_gf(y, i, k, inner)
-    gfj = gfi if j == i else mean_gf(y, j, k, inner)
-    return _cov_kernel_terms(y, i, j, k, gfi, gfj, rates)
+    node = np.array([y], dtype=float)
+    value, mags = _cov_kernel_table(node, k, _mean_gf_table(node, k, inner), rates)
+    return float(value[0, i - 1, j - 1]), float(mags[:, 0, i - 1, j - 1].max())
 
 
 @dataclass(frozen=True)
 class CovQuadratureDiagnostics:
-    """Cancellation diagnostics for one covariance-rate quadrature."""
+    """Error diagnostics for one covariance-rate quadrature."""
 
     max_term_ratio: np.ndarray  # per (i, j): max over nodes of max_term/|kernel|
-    flagged: np.ndarray  # per (i, j): ratio exceeded CANCELLATION_FLAG_RATIO
-    est_abs_error: np.ndarray  # per (i, j): rounding bound for the integral
+    flagged: np.ndarray  # per (i, j): est_abs_error > COV_REL_TOL * |entry|
+    est_abs_error: np.ndarray  # per (i, j): rounding and inherited input error
 
     def any_flagged(self) -> bool:
         return bool(self.flagged.any())
@@ -209,46 +224,33 @@ def cov_rates_by_quadrature(
 
     cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy.
 
-    Diagnostics: per entry, the worst node-level cancellation ratio (large
-    values are expected from nodes near y = 1 where the kernel itself tends
-    to zero) and a bound on the rounding error actually transmitted to the
-    integral, which stays tiny because endpoint weights are small.
+    Diagnostics, per entry: the worst node-level cancellation ratio (a
+    reported figure; it is large wherever the kernel tends to zero near
+    y = 1), and an estimate of the absolute error carried to the integral.
+    At each node that estimate takes eps times the largest piece, plus the
+    relative error the product piece inherits from the inner-rule mean
+    generating function, 2 (inner nodes + k + 6) eps, and the one the rate
+    correction inherits from the rates, 2 (k + 6) eps.  An entry is flagged
+    when the estimate exceeds ``COV_REL_TOL`` of its magnitude.
     """
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
     if rates is None:
         rates = rates_by_quadrature(k, rule)
-    d = k - 1
-    y_nodes, w_nodes = rule.nodes, rule.weights
-    ek = exp_weight(y_nodes, k)
-    scale = 2.0 / _exp_weight_at_one(k)
-    matrix = np.zeros((d, d))
-    ratio = np.zeros((d, d))
-    err = np.zeros((d, d))
+    y = rule.nodes
+    value, mags = _cov_kernel_table(y, k, _mean_gf_table(y, k, inner), rates)
+    weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(y, k)
     eps = np.finfo(float).eps
-    # mean generating function shared across (i, j) pairs at each node
-    gf = np.array(
-        [[mean_gf(float(y), i, k, inner) for i in range(1, k)] for y in y_nodes]
+    max_term = mags.max(axis=0)
+    node_err = eps * (
+        max_term + 2 * (len(inner.nodes) + k + 6) * mags[1] + 2 * (k + 6) * mags[2]
     )
-    for a in range(1, k):
-        for b in range(a, k):
-            total = 0.0
-            worst = 0.0
-            rnd = 0.0
-            for t, y in enumerate(y_nodes):
-                value, max_term = _cov_kernel_terms(
-                    float(y), a, b, k, gf[t, a - 1], gf[t, b - 1], rates
-                )
-                total += w_nodes[t] * value * ek[t]
-                worst = max(worst, max_term / max(abs(value), np.finfo(float).tiny))
-                rnd += w_nodes[t] * max_term * ek[t] * eps
-            entry = scale * total
-            matrix[a - 1, b - 1] = matrix[b - 1, a - 1] = entry
-            ratio[a - 1, b - 1] = ratio[b - 1, a - 1] = worst
-            err[a - 1, b - 1] = err[b - 1, a - 1] = scale * rnd
+    matrix = np.tensordot(weight, value, axes=1)
+    err = np.tensordot(weight, node_err, axes=1)
+    ratio = (max_term / np.maximum(np.abs(value), np.finfo(float).tiny)).max(axis=0)
     diags = CovQuadratureDiagnostics(
         max_term_ratio=ratio,
-        flagged=ratio > CANCELLATION_FLAG_RATIO,
+        flagged=err > COV_REL_TOL * np.abs(matrix),
         est_abs_error=err,
     )
     return _CovQuadResult(matrix, diags)

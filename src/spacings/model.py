@@ -9,8 +9,6 @@ each length 1..k-1 remain and by the number of blocks placed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 __all__ = [
@@ -20,8 +18,6 @@ __all__ = [
     "validate_counts",
     "validate_counts_batch",
     "vacancy",
-    "gap_counts_to_obj",
-    "gap_counts_from_obj",
 ]
 
 
@@ -120,21 +116,3 @@ def validate_counts_batch(
         ok &= hats == base.hats
     return ok
 
-
-def gap_counts_to_obj(params: ProcessParams, g: GapCounts) -> dict[str, Any]:
-    """JSON-ready mapping: ``{"n":..., "k":..., "counts":[...], "hats":...}``."""
-    return {
-        "n": params.n,
-        "k": params.k,
-        "counts": list(g.counts),
-        "hats": g.hats,
-    }
-
-
-def gap_counts_from_obj(obj: dict[str, Any]) -> tuple[ProcessParams, GapCounts]:
-    """Inverse of :func:`gap_counts_to_obj`; validates before returning."""
-    params = ProcessParams(int(obj["n"]), int(obj["k"]))
-    g = GapCounts(tuple(int(c) for c in obj["counts"]), int(obj["hats"]))
-    if not validate_counts(params, g):
-        raise ValueError(f"invalid terminal state for n={params.n}, k={params.k}: {g}")
-    return params, g

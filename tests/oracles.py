@@ -3,8 +3,8 @@
 Everything here works on explicit occupancy tuples with Fraction arithmetic
 and shares no code with the library: terminal states are found by recursing
 over every feasible placement, not by any splitting shortcut.  Slow on
-purpose; keep n at or below about 14.  The last two helpers are independent
-float and bookkeeping cross-checks of library code paths.
+purpose; keep n at or below about 14.  The last three helpers are
+independent float and bookkeeping cross-checks of library code paths.
 """
 from __future__ import annotations
 
@@ -126,3 +126,29 @@ def mean_recursion_cumulative(k: int, n_max: int) -> np.ndarray:
 def recompute_weight(pool) -> int:
     """Feasible-block count of a pool of open runs, summed from scratch."""
     return sum(max(g - pool.k + 1, 0) for g in pool.gaps)
+
+
+def cov_kernel_at(y: float, i: int, j: int, k: int, rates, inner_nodes: int) -> float:
+    """Covariance kernel at one y and one (i, j), term by term in floats.
+
+    The mean generating functions come from their own Gauss-Legendre rule
+    on [0, y]; the pieces are those of ``asymptotics.cov_kernel``.
+    """
+    x, wx = np.polynomial.legendre.leggauss(inner_nodes)
+    t, wt = y * (x + 1.0) / 2.0, y * wx / 2.0
+
+    def weight(s):
+        return np.exp(2.0 * sum(s**m / m for m in range(1, k)))
+
+    def gf(length: int) -> float:
+        integral = float(wt @ (t**length * (1.0 - t) * weight(t)))
+        return 2.0 * integral / ((1.0 - y) ** 2 * weight(y))
+
+    w = 1.0 - y
+    diag = w * y**i if i == j else 0.0
+    bi = y**i + y ** (k - 1) * gf(i)
+    bj = y**j + y ** (k - 1) * gf(j)
+    lead = 3.0 + (4 * k - 5) * w + 2.0 * (k - 1) ** 2 * w * w - 2.0 * k * k * w**4
+    trail = 2.0 + (4 * k - 3) * w + (2 * k - 1) ** 2 * w * w - 4.0 * k * k * w**3
+    corr = rates[i - 1] * rates[j - 1] * (lead - trail * y**k) / (w * w)
+    return diag + w * w * bi * bj - corr

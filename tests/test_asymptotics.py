@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spacings.asymptotics import (
+    DEFAULT_INNER_NODES,
     GaussLegendreRule,
     cf_fixed_point_residual,
     cf_residual,
@@ -95,6 +97,19 @@ def test_cov_kernel_symmetric_in_indices():
         assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_cov_kernel_matches_scalar_reference(k):
+    # the array kernel against a term-by-term scalar evaluation; the two
+    # differ only in rounding, which the largest piece bounds
+    rates = rates_by_quadrature(k)
+    for y in (0.05, 0.3, 0.7, 0.95, 0.999):
+        for i in range(1, k):
+            for j in range(1, k):
+                value, max_term = cov_kernel(y, i, j, k, rates)
+                want = oracles.cov_kernel_at(y, i, j, k, rates, DEFAULT_INNER_NODES)
+                assert abs(value - want) <= 1e-13 * max_term
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_cov_matrix_symmetric_psd(k):
     res = cov_rates_by_quadrature(k)
@@ -105,12 +120,34 @@ def test_cov_matrix_symmetric_psd(k):
 
 
 def test_cov_diagnostics_report_cancellation():
-    res = cov_rates_by_quadrature(2)
-    d = res.diagnostics
-    # the kernel vanishes at y=1 while its terms do not: the per-node ratio
-    # is expected to flag, the propagated error bound must still be tiny
-    assert d.any_flagged()
-    assert np.max(d.est_abs_error) < 1e-10
+    # the kernel vanishes at y=1 while its pieces do not: at default nodes
+    # the error estimate stays tiny and no entry misses 1e-8 relative
+    for k in range(2, 9):
+        d = cov_rates_by_quadrature(k).diagnostics
+        assert np.max(d.est_abs_error) < 1e-10
+        assert not d.any_flagged()
+    # 1024 nodes crowd y=1, where the pieces grow like (1-y)^-2: the k=2
+    # entry is off by about 2e-9, beyond 1e-8 relative, and must say so
+    assert cov_rates_by_quadrature(2, GaussLegendreRule.make(1024)).diagnostics.any_flagged()
+
+
+@pytest.mark.parametrize("nodes", [64, 128, 256, 512, 1024])
+def test_cov_error_estimate_covers_closed_form_k2(nodes):
+    res = cov_rates_by_quadrature(2, GaussLegendreRule.make(nodes))
+    actual = abs(res.matrix[0, 0] - 4.0 * math.exp(-4.0))
+    assert res.diagnostics.est_abs_error[0, 0] >= actual
+
+
+def test_cov_kernel_is_the_quadrature_integrand():
+    k = 3
+    rule = GaussLegendreRule.make(32)
+    rates = rates_by_quadrature(k, rule)
+    res = cov_rates_by_quadrature(k, rule, rates=rates)
+    weight = 2.0 / exp_weight(1.0, k) * rule.weights * exp_weight(rule.nodes, k)
+    for i in (1, 2):
+        for j in (1, 2):
+            kernel = [cov_kernel(float(y), i, j, k, rates)[0] for y in rule.nodes]
+            assert weight @ kernel == pytest.approx(res.matrix[i - 1, j - 1], rel=1e-13)
 
 
 def test_quadrature_and_extrapolation_agree():

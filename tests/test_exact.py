@@ -74,7 +74,7 @@ def test_pmf_is_an_exact_distribution():
     pmf = pmf_split(ProcessParams(12, 3))
     assert pmf.total() == Fraction(1)
     assert all(p > 0 for p in pmf.probs.values())
-    pmf.validate()
+    assert pmf.validate()
 
 
 def test_known_table_n6_k2():
@@ -99,7 +99,7 @@ def test_caps_guard_both_routes():
     with pytest.raises(CapExceededError):
         pmf_direct(ProcessParams(30, 2))
     # explicit override lifts the cap
-    pmf_direct(ProcessParams(22, 2), cap=22).validate()
+    assert pmf_direct(ProcessParams(22, 2), cap=22).validate()
 
 
 def test_moments_match_enumerator_means():
@@ -173,5 +173,5 @@ def test_empirical_counter_groups_rows():
 )
 def test_split_route_always_valid(n, k):
     pmf = pmf_split(ProcessParams(n, k))
-    pmf.validate()
+    assert pmf.validate()
     assert pmf.total() == 1

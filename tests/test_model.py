@@ -10,8 +10,6 @@ import oracles
 from spacings.model import (
     GapCounts,
     ProcessParams,
-    gap_counts_from_obj,
-    gap_counts_to_obj,
     single_spacing_state,
     vacancy,
     validate_counts,
@@ -97,18 +95,6 @@ def test_batch_validation_matches_scalar(params, data):
     got = validate_counts_batch(params, counts, hats)
     want = [validate_counts(params, GapCounts(tuple(c), int(h))) for c, h in rows]
     assert got.tolist() == want
-
-
-@given(params_st)
-def test_json_round_trip(params):
-    state = single_spacing_state(params.n, params.k) if params.n < params.k else None
-    if state is None:
-        counts, hats = next(iter(oracles.law(min(params.n, 9), params.k)))
-        params = ProcessParams(min(params.n, 9), params.k)
-        state = GapCounts(counts, hats)
-    obj = gap_counts_to_obj(params, state)
-    p2, s2 = gap_counts_from_obj(obj)
-    assert (p2, s2) == (params, state)
 
 
 def test_states_are_hashable_value_types():
