@@ -20,6 +20,7 @@ extrapolation (:mod:`spacings.moments`); ``constants_by_extrapolation`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ import numpy as np
 
 from .moments import (
     cov_rates_by_extrapolation,
+    cross_moment_recursion,
     mean_recursion,
     rates_by_extrapolation,
 )
@@ -48,11 +50,14 @@ __all__ = [
     "constants_by_extrapolation",
     "DEFAULT_OUTER_NODES",
     "DEFAULT_INNER_NODES",
+    "MAX_RULE_NODES",
     "COV_REL_TOL",
 ]
 
 DEFAULT_OUTER_NODES = 128
 DEFAULT_INNER_NODES = 64
+# leggauss(n) eigensolves an n x n matrix: 4096 nodes take about 134 MB
+MAX_RULE_NODES = 4096
 # relative accuracy callers need from the covariance quadrature (check 02)
 COV_REL_TOL = 1e-8
 
@@ -70,11 +75,18 @@ class GaussLegendreRule:
     weights: np.ndarray
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def make(cls, n: int) -> "GaussLegendreRule":
-        if n < 2:
-            raise ValueError("need at least 2 nodes")
+        """The n-node rule, built on first use and shared by every later caller.
+
+        Its arrays are read-only, since every caller holds the same ones.
+        """
+        if not 2 <= n <= MAX_RULE_NODES:
+            raise ValueError(f"a Gauss-Legendre rule takes 2..{MAX_RULE_NODES} nodes, got {n}")
         x, w = np.polynomial.legendre.leggauss(n)
-        return cls((x + 1.0) / 2.0, w / 2.0)
+        nodes, weights = (x + 1.0) / 2.0, w / 2.0
+        nodes.flags.writeable = weights.flags.writeable = False
+        return cls(nodes, weights)
 
     def on(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Affine image of the rule on [a, b]."""
@@ -346,7 +358,7 @@ def constants_by_quadrature(
 def constants_by_extrapolation(k: int, n_max: int = 300) -> AsymptoticConstants:
     means = mean_recursion(k, n_max)
     r = rates_by_extrapolation(k, n_max, means)
-    c = cov_rates_by_extrapolation(k, n_max)
+    c = cov_rates_by_extrapolation(k, n_max, cross_moment_recursion(k, n_max, means))
     j = np.arange(1, k)
     return AsymptoticConstants(
         k=k,

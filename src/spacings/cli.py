@@ -55,58 +55,31 @@ def build_envelope(tool: str, config: dict, payload: Any, diagnostics: dict | No
     }
 
 
-def _csv_rows(tool: str, payload: Any) -> tuple[list[str], list[list]]:
-    """Flatten a payload into (header, rows); schema documented per tool."""
-    if tool == "exact":
-        header = ["counts", "hats", "prob_num", "prob_den", "prob"]
-        rows = [
-            ["|".join(map(str, r["counts"])), r["hats"], r["prob_num"], r["prob_den"], repr(r["prob"])]
-            for r in payload["states"]
-        ]
-        return header, rows
-    if tool == "simulate":
-        header = ["quantity", "i", "j", "order", "value"]
-        rows: list[list] = []
-        for i, v in enumerate(payload["mean"], start=1):
-            rows.append(["mean", i, "", "", repr(v)])
-        for i, v in enumerate(payload["mean_se"], start=1):
-            rows.append(["mean_se", i, "", "", repr(v)])
-        for i, row in enumerate(payload["cov"], start=1):
-            for j, v in enumerate(row, start=1):
-                rows.append(["cov", i, j, "", repr(v)])
-        for m, v in enumerate(payload["std_moments"]):
-            rows.append(["std_moment", "", "", m, repr(v)])
-        for m, v in enumerate(payload["std_moment_se"]):
-            rows.append(["std_moment_se", "", "", m, repr(v)])
-        return header, rows
-    if tool == "moments":
-        header = ["table", "n", "i", "j", "order", "value"]
-        rows = []
-        for entry in payload["tables"]:
-            rows.extend(entry_rows(entry))
-        return header, rows
-    if tool in ("asympt", "report"):
-        header = ["k", "quantity", "route", "i", "j", "value"]
-        rows = []
-        blocks = payload["constants"] if tool == "report" else [payload]
-        for block in blocks:
-            k = block["k"]
-            for route in ("quadrature", "extrapolation"):
-                if route not in block:
-                    continue
-                c = block[route]
-                for i, v in enumerate(c["rates"], start=1):
-                    rows.append([k, "rate", route, i, "", repr(v)])
-                for i, row in enumerate(c["cov_rates"], start=1):
-                    for j, v in enumerate(row, start=1):
-                        rows.append([k, "cov_rate", route, i, j, repr(v)])
-                rows.append([k, "vacancy_rate", route, "", "", repr(c["vacancy_rate"])])
-        return header, rows
-    if tool == "verify":
-        header = ["name", "passed", "measured", "elapsed_s"]
-        rows = [[r["name"], r["passed"], r["measured"], repr(r["elapsed_s"])] for r in payload["checks"]]
-        return header, rows
-    raise ValueError(f"no CSV schema for tool {tool}")
+def _exact_rows(payload: dict) -> list[list]:
+    return [
+        ["|".join(map(str, r["counts"])), r["hats"], r["prob_num"], r["prob_den"], repr(r["prob"])]
+        for r in payload["states"]
+    ]
+
+
+def _simulate_rows(payload: dict) -> list[list]:
+    rows: list[list] = []
+    for i, v in enumerate(payload["mean"], start=1):
+        rows.append(["mean", i, "", "", repr(v)])
+    for i, v in enumerate(payload["mean_se"], start=1):
+        rows.append(["mean_se", i, "", "", repr(v)])
+    for i, row in enumerate(payload["cov"], start=1):
+        for j, v in enumerate(row, start=1):
+            rows.append(["cov", i, j, "", repr(v)])
+    for m, v in enumerate(payload["std_moments"]):
+        rows.append(["std_moment", "", "", m, repr(v)])
+    for m, v in enumerate(payload["std_moment_se"]):
+        rows.append(["std_moment_se", "", "", m, repr(v)])
+    return rows
+
+
+def _moments_rows(payload: dict) -> list[list]:
+    return [row for entry in payload["tables"] for row in entry_rows(entry)]
 
 
 def entry_rows(entry: dict) -> list[list]:
@@ -129,16 +102,111 @@ def entry_rows(entry: dict) -> list[list]:
     return rows
 
 
+def _constants_rows(blocks: list[dict]) -> list[list]:
+    rows: list[list] = []
+    for block in blocks:
+        k = block["k"]
+        for route in ("quadrature", "extrapolation"):
+            if route not in block:
+                continue
+            c = block[route]
+            for i, v in enumerate(c["rates"], start=1):
+                rows.append([k, "rate", route, i, "", repr(v)])
+            for i, row in enumerate(c["cov_rates"], start=1):
+                for j, v in enumerate(row, start=1):
+                    rows.append([k, "cov_rate", route, i, j, repr(v)])
+            rows.append([k, "vacancy_rate", route, "", "", repr(c["vacancy_rate"])])
+    return rows
+
+
+def _verify_rows(payload: dict) -> list[list]:
+    return [[r["name"], r["passed"], r["measured"], repr(r["elapsed_s"])] for r in payload["checks"]]
+
+
+_CONSTANTS_HEADER = ["k", "quantity", "route", "i", "j", "value"]
+
+# tool -> (CSV header, payload -> rows)
+_CSV_SCHEMAS = {
+    "exact": (["counts", "hats", "prob_num", "prob_den", "prob"], _exact_rows),
+    "simulate": (["quantity", "i", "j", "order", "value"], _simulate_rows),
+    "moments": (["table", "n", "i", "j", "order", "value"], _moments_rows),
+    "asympt": (_CONSTANTS_HEADER, lambda payload: _constants_rows([payload])),
+    "report": (_CONSTANTS_HEADER, lambda payload: _constants_rows(payload["constants"])),
+    "verify": (["name", "passed", "measured", "elapsed_s"], _verify_rows),
+}
+
+
+def _json_pieces(obj: Any, indent: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2)`` to ``out``.
+
+    ``indent`` is the indentation of the line ``obj`` starts on.  Scalars
+    and keys go through ``json.dumps`` itself, so escaping, NaN/Infinity
+    and big ints read exactly as the standard encoder writes them; a list
+    of finite floats is written in one join.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            # non-str keys become their JSON text, quoted, as the encoder does
+            out += (sep, json.dumps(key if isinstance(key, str) else json.dumps(key)), ": ")
+            _json_pieces(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        text = _float_row(obj, sep)
+        if text is not None:
+            out.append(text)
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(sep)
+                _json_pieces(item, inner, out)
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _float_row(row: list | tuple, sep: str) -> str | None:
+    """The items of ``row`` joined by ``sep`` if all are finite floats, else None."""
+    if not isinstance(row[0], float):
+        return None
+    try:
+        text = sep.join(map(float.__repr__, row))
+    except TypeError:  # an item that is not a float
+        return None
+    # only nan and inf put an "n" in a float repr; JSON spells them NaN/Infinity
+    return None if "n" in text else text
+
+
 def render(envelope: dict, fmt: str) -> str:
-    """Serialize an envelope; JSON carries provenance, CSV the payload only."""
+    """Serialize an envelope; JSON carries provenance, CSV the payload only.
+
+    The JSON text is exactly ``json.dumps(envelope, sort_keys=True,
+    indent=2)`` plus a newline.
+    """
     if fmt == "json":
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _json_pieces(envelope, "", out)
+        out.append("\n")
+        return "".join(out)
     tool = envelope["tool"].split()[-1]
-    header, rows = _csv_rows(tool, envelope["payload"])
+    if tool not in _CSV_SCHEMAS:
+        raise ValueError(f"no CSV schema for tool {tool}")
+    header, rows = _CSV_SCHEMAS[tool]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(rows(envelope["payload"]))
     return buf.getvalue()
 
 

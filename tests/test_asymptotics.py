@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import spacings.asymptotics as asy
+import spacings.moments as moments
 from spacings.asymptotics import (
     DEFAULT_INNER_NODES,
+    MAX_RULE_NODES,
     GaussLegendreRule,
     cf_fixed_point_residual,
     cf_residual,
@@ -48,6 +51,24 @@ def test_rule_affine_remap():
     x, w = rule.on(2.0, 5.0)
     assert x.min() > 2.0 and x.max() < 5.0
     assert w.sum() == pytest.approx(3.0, rel=1e-13)
+
+
+def test_rule_is_built_once_and_read_only():
+    rule = GaussLegendreRule.make(128)
+    assert GaussLegendreRule.make(128) is rule
+    assert GaussLegendreRule.make(64) is not rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.5
+
+
+def test_rule_node_count_is_bounded():
+    # checked before leggauss allocates its n x n matrix; never built here
+    with pytest.raises(ValueError, match=f"2..{MAX_RULE_NODES} nodes"):
+        GaussLegendreRule.make(MAX_RULE_NODES + 1)
+    with pytest.raises(ValueError):
+        GaussLegendreRule.make(1)
 
 
 def test_exp_weight_closed_form_k2():
@@ -159,6 +180,24 @@ def test_quadrature_and_extrapolation_agree():
         assert q.vacancy_rate == pytest.approx(e.vacancy_rate, abs=1e-8)
         assert q.provenance == "quadrature"
         assert e.provenance == "extrapolation"
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_extrapolation_shares_its_mean_table(k, monkeypatch):
+    # one mean table feeds both the rates and the covariance table
+    want = moments.cov_rates_by_extrapolation(k, 300).value
+    calls = []
+    original = moments.mean_recursion
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(asy, "mean_recursion", counted)
+    monkeypatch.setattr(moments, "mean_recursion", counted)
+    got = constants_by_extrapolation(k, 300)
+    assert calls == [(k, 300)]
+    assert np.array_equal(got.cov_rates, want)
 
 
 T_GRID = np.linspace(-5, 5, 41)

@@ -5,9 +5,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spacings.cli import main
+from spacings import cli
+from spacings.asymptotics import MAX_RULE_NODES
+from spacings.cli import main, render
 
 
 def run(capsys, *argv):
@@ -132,3 +137,75 @@ def test_resource_errors_exit_2(capsys):
 def test_bad_projection_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--n", "10", "--k", "2", "--projection", "1,2"])
+
+
+def test_rule_node_count_over_max_exits_2(capsys):
+    code = main(["asympt", "--k", "2", "--nodes", str(MAX_RULE_NODES + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"2..{MAX_RULE_NODES} nodes, got {MAX_RULE_NODES + 1}" in captured.err
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_TRICKY_TEXT = st.text(alphabet='"\\,\n\t:{}[] a\u00e9\u2603\U0001f600\x00')
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, float("inf"), float("-inf")])
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.text(),
+    _TRICKY_TEXT,
+)
+# lists of floats take the one-join path; ints and np.float64 items mix in
+_ROWS = st.lists(_FLOATS | _FLOATS.map(np.float64) | st.integers(), max_size=6)
+_KEYS = st.text(max_size=4) | _TRICKY_TEXT
+_TREES = st.recursive(
+    _SCALARS | _ROWS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(_KEYS, _TREES, max_size=6))
+def test_json_render_matches_stdlib_bytes(env):
+    assert render(env, "json") == _stdlib_json(env)
+
+
+def test_json_render_matches_stdlib_non_str_keys():
+    for env in ({1: 2}, {None: 1}, {1.5: [0.5]}, {True: {}}, {float("nan"): ()}):
+        assert render(env, "json") == _stdlib_json(env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--n", "12", "--k", "3", "--compare"),
+        ("moments", "--k", "3", "--n-max", "40", "--tables", "mean,cov,projected"),
+        ("asympt", "--k", "3", "--n-max", "120"),
+        ("report", "--k-max", "3", "--n-max", "120"),
+        ("simulate", "--n", "12", "--k", "3", "--replications", "500", "--threads", "1"),
+        ("verify", "--quick"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_render_matches_stdlib_on_real_envelopes(argv, monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def checked(envelope, fmt):
+        text = render(envelope, fmt)
+        seen.append(text == _stdlib_json(envelope))
+        return text
+
+    monkeypatch.setattr(cli, "render", checked)
+    main([*argv, "--out", str(tmp_path / "env.json")])
+    assert seen == [True]
