@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .moments import (
+    _check_k,
     cov_rates_by_extrapolation,
     cross_moment_recursion,
     mean_recursion,
@@ -119,8 +120,7 @@ def rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> np.nda
 
     rate_j = 2/exp_weight(1) * integral_0^1 (1-y) y^j exp_weight(y) dy.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     y, w = rule.nodes, rule.weights
     base = w * (1.0 - y) * exp_weight(y, k)
@@ -176,6 +176,7 @@ def mean_gf(z: float, i: int, k: int, inner: GaussLegendreRule | None = None) ->
     """
     if not 0.0 <= z < 1.0:
         raise ValueError(f"mean_gf needs 0 <= z < 1, got z={z}")
+    _check_k(k)
     if not 1 <= i <= k - 1:
         raise ValueError(f"spacing length i must lie in 1..{k - 1}")
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
@@ -200,6 +201,7 @@ def cov_kernel(
     """
     if not 0.0 <= y < 1.0:
         raise ValueError(f"cov_kernel needs 0 <= y < 1, got y={y}")
+    _check_k(k)
     if not (1 <= i <= k - 1 and 1 <= j <= k - 1):
         raise ValueError(f"spacing lengths must lie in 1..{k - 1}")
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
@@ -245,6 +247,7 @@ def cov_rates_by_quadrature(
     correction inherits from the rates, 2 (k + 6) eps.  An entry is flagged
     when the estimate exceeds ``COV_REL_TOL`` of its magnitude.
     """
+    _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
     if rates is None:
@@ -274,8 +277,7 @@ def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) ->
     Equals 1 - k/exp_weight(1) * integral_0^1 exp_weight(y) dy, and also
     sum_j j * rate_j; agreement of the two is a standing identity check.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     integral = rule.integrate(lambda y: exp_weight(y, k))
     return 1.0 - k * integral / _exp_weight_at_one(k)

@@ -440,6 +440,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if args.k_max > moments.MAX_K:  # before any block is computed
+        raise ValueError(f"k must lie in 2..{moments.MAX_K}, got {args.k_max}")
     blocks = [
         _constants_block(
             k, asy.constants_by_quadrature(k), asy.constants_by_extrapolation(k, args.n_max)

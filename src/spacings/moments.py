@@ -40,17 +40,34 @@ __all__ = [
     "mean_drift_bound",
     "STABILIZATION_LOOKBACK",
     "STABILIZATION_TOL",
+    "MAX_K",
+    "MAX_N_MAX",
+    "MAX_ORDER",
 ]
 
 STABILIZATION_LOOKBACK = 10
 STABILIZATION_TOL = 1e-8
+# Largest arguments the recursions and quadratures accept, checked before
+# anything is allocated; README "Numerical notes" gives the run times at them.
+MAX_K = 64
+MAX_N_MAX = 50_000
+MAX_ORDER = 1029  # C(1030, 515) lies beyond the double range
+
+
+def _check_k(k: int) -> None:
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"k must lie in 2..{MAX_K}, got {k}")
 
 
 def _check_kn(k: int, n_max: int) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_k(k)
+    if not 0 <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in 0..{MAX_N_MAX}, got {n_max}")
+
+
+def _check_order(order: int) -> None:
+    if not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 2..{MAX_ORDER}, got {order}")
 
 
 @dataclass
@@ -143,13 +160,21 @@ def mean_recursion(k: int, n_max: int) -> MeanTable:
 
     (n-k+1) * mean[n] = (n-k) * mean[n-1] + 2 * mean[n-k]   for n > k,
     with deterministic rows below k and a zero row at n = k.
+
+    Each column runs on Python floats and is written back whole: the same
+    IEEE operations in the same order as a numpy step per row, so the same
+    bits, without numpy's per-call cost on (k-1)-sized rows.
     """
     _check_kn(k, n_max)
     g = np.zeros((n_max + 1, k - 1))
     _seed_mean_rows(k, n_max, g)
-    for n in range(k + 1, n_max + 1):
-        L = n - k + 1
-        g[n] = ((L - 1) * g[n - 1] + 2.0 * g[n - k]) / L
+    for col in range(k - 1):
+        v = g[: k + 1, col].tolist()
+        prev = v[-1]
+        for L in range(2, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
+            prev = ((L - 1) * prev + 2.0 * v[L - 1]) / L
+            v.append(prev)
+        g[:, col] = v
     return MeanTable(k, g)
 
 
@@ -173,26 +198,45 @@ def cross_moment_recursion(
 
     second[n] = 2/(n-k+1) * sum_h second[h]
               + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose).
+
+    The table is symmetric, so only entries i <= j are computed.  The mean
+    term is a convolution of mean columns i and j; it is computed for every
+    n before the loop, one direct ``np.convolve`` per entry.  Rows
+    n..n+k-1 read only rows <= n-1 (the first block leaves at most n-k
+    hooks on either side), so each step of the loop fills k rows from a
+    running sum of second moments, compensated (Kahan) across steps.
     """
     _check_kn(k, n_max)
     if means is None or means.n_max < n_max:
         means = mean_recursion(k, n_max)
-    g = means.values
+    g = means.values[: n_max + 1]
     d = k - 1
-    second = np.zeros((n_max + 1, d, d))
+    # the table is symmetric: each entry i <= j is one column of `packed`
+    i_idx, j_idx = np.triu_indices(d)
+    pair = np.zeros((d, d), dtype=int)
+    pair[i_idx, j_idx] = pair[j_idx, i_idx] = np.arange(len(i_idx))
+    packed = np.zeros((n_max + 1, len(i_idx)))
     for n in range(1, min(k, n_max + 1)):
-        second[n, n - 1, n - 1] = 1.0
-    total = np.zeros((d, d))
-    comp = np.zeros((d, d))
-    for n in range(k, n_max + 1):
-        L = n - k + 1
-        y = second[n - k] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        a = g[:L]
-        cross = a.T @ a[::-1]
-        second[n] = (2.0 * total + cross + cross.T) / L
+        packed[n, pair[n - 1, n - 1]] = 1.0
+    steps = n_max - k + 1  # rows k..n_max, one per split length L = 1..steps
+    if steps > 0:
+        # split[L-1] = sum_h outer(mean[h], mean[L-1-h]) + transpose
+        conv = [np.convolve(g[:steps, i], g[:steps, j])[:steps] for i, j in zip(i_idx, j_idx)]
+        split = 2.0 * np.array(conv).T
+        # prefix sums of a block as one product with a lower-triangular
+        # matrix of ones (np.cumsum along the rows is slower here)
+        prefix = np.tril(np.ones((k, k)))
+        L = np.arange(1.0, steps + 1.0)[:, None]
+        total = np.zeros(len(i_idx))
+        comp = np.zeros(len(i_idx))
+        for n in range(k, n_max + 1, k):
+            lo, hi = n - k, min(n, steps)
+            y = prefix[: hi - lo, : hi - lo] @ packed[lo:hi] - comp
+            run = total + y
+            packed[n : n + k] = (2.0 * run + split[lo:hi]) / L[lo:hi]
+            comp = (run[-1] - total) - y[-1]
+            total = run[-1]
+    second = packed[:, pair]
     cov = second - g[:, :, None] * g[:, None, :]
     return CrossMomentTable(k, second, cov)
 
@@ -230,16 +274,19 @@ def projected_moment_recursion(
     seeded with the deterministic rows below k.  Standardized moments follow
     by re-centering at the mean and scaling by n**(-m/2).
 
-    Each step gathers only the anti-diagonal entries (i, m-i), m <= order,
-    of pair = raw[:L].T @ reversed(raw[:L]).  Entries beyond them may
-    overflow; even a zero weight on one (0 * inf = nan) would trip the guard.
+    Split points j and L-1-j pair the same two rows, so each step sums each
+    pair once: half = raw[:h].T @ reversed(raw[L-h:L]) with h = ceil(L/2),
+    one GEMM in which the centre row of an odd L enters at weight 1/2.  The
+    binomially weighted anti-diagonal sums of half, divided by L/2, give
+    raw[n].  Only the anti-diagonal entries (i, m-i), m <= order, are read.
+    Entries beyond them may overflow; even a zero weight on one
+    (0 * inf = nan) would trip the guard.
     """
     _check_kn(k, n_max)
+    _check_order(order)
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    if order < 2:
-        raise ValueError("order must be >= 2")
     M = order
     binom = np.array([[math.comb(m, i) for i in range(M + 1)] for m in range(M + 1)], float)
     raw = np.zeros((n_max + 1, M + 1))
@@ -255,8 +302,16 @@ def projected_moment_recursion(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(k + 1, n_max + 1):
             L = n - k + 1
-            pair = raw[:L].T @ rev[n_max + 1 - L :]
-            raw[n] = np.bincount(m_idx, pair.ravel()[flat] * weight, minlength=M + 1) / L
+            h = (L + 1) // 2
+            start = n_max + 1 - L
+            centre = start + h - 1  # rev[centre] = raw[L - h], raw[h - 1] when L is odd
+            if L % 2:
+                rev[centre] = 0.5 * raw[h - 1]
+            half = raw[:h].T @ rev[start : start + h]
+            if L % 2:
+                rev[centre] = raw[h - 1]
+            pairs = half.ravel()[flat] * weight
+            raw[n] = np.bincount(m_idx, pairs, minlength=M + 1) / (0.5 * L)
             rev[n_max - n] = raw[n]
     if not np.isfinite(raw).all():
         raise OverflowError(
@@ -278,6 +333,7 @@ def projected_moment_recursion_exact(
 ) -> list[list[Fraction]]:
     """Rational twin of the projected raw-moment recursion (no standardization)."""
     _check_kn(k, n_max)
+    _check_order(order)
     c = tuple(Fraction(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
@@ -344,7 +400,7 @@ def averaging_recursion_limit(
     """
     if beta <= 1:
         raise ValueError(f"beta must exceed 1, got beta={beta}")
-    _check_kn(k, n_max)
+    _check_k(k)
     if n_max <= k:
         raise ValueError("n_max must exceed k")
     a = [0.0] * (n_max + 1)  # rows 0..k stay at the zero seed

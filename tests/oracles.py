@@ -3,7 +3,7 @@
 Everything here works on explicit occupancy tuples with Fraction arithmetic
 and shares no code with the library: terminal states are found by recursing
 over every feasible placement, not by any splitting shortcut.  Slow on
-purpose; keep n at or below about 14.  The last three helpers are
+purpose; keep n at or below about 14.  The last four helpers are
 independent float and bookkeeping cross-checks of library code paths.
 """
 from __future__ import annotations
@@ -99,6 +99,21 @@ def mean_vacancy(n: int, k: int) -> Fraction:
     for (counts, _), p in law(n, k).items():
         out += p * sum((i + 1) * c for i, c in enumerate(counts))
     return out
+
+
+def mean_recursion_numpy_step(k: int, n_max: int) -> np.ndarray:
+    """Expected counts via the one-step mean recursion, one numpy step per row.
+
+    (n-k+1) mean[n] = (n-k) mean[n-1] + 2 mean[n-k]; the same IEEE
+    operations in the same order as the library's per-column float loop.
+    """
+    g = np.zeros((n_max + 1, k - 1))
+    for n in range(1, min(k, n_max + 1)):
+        g[n][n - 1] = 1
+    for n in range(k + 1, n_max + 1):
+        L = n - k + 1
+        g[n] = ((L - 1) * g[n - 1] + 2.0 * g[n - k]) / L
+    return g
 
 
 def mean_recursion_cumulative(k: int, n_max: int) -> np.ndarray:

@@ -71,6 +71,22 @@ def test_rule_node_count_is_bounded():
         GaussLegendreRule.make(1)
 
 
+def test_quadrature_entry_points_bound_k():
+    k = moments.MAX_K + 1
+    calls = [
+        lambda: asy.rates_by_quadrature(k),
+        lambda: asy.cov_rates_by_quadrature(k),
+        lambda: asy.vacancy_rate_by_quadrature(k),
+        lambda: asy.mean_gf(0.5, 1, k),
+        lambda: asy.cov_kernel(0.5, 1, 1, k, [0.1] * (k - 1)),
+        lambda: asy.constants_by_quadrature(k),
+        lambda: asy.constants_by_extrapolation(k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"2..{moments.MAX_K}, got {k}"):
+            call()
+
+
 def test_exp_weight_closed_form_k2():
     y = np.linspace(0.0, 1.0, 7)
     assert exp_weight(y, 2) == pytest.approx(np.exp(2 * y), rel=1e-14)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spacings import cli
 from spacings.asymptotics import MAX_RULE_NODES
+from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
 
 
@@ -144,6 +145,27 @@ def test_rule_node_count_over_max_exits_2(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"2..{MAX_RULE_NODES} nodes, got {MAX_RULE_NODES + 1}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("moments", "--k", "2", "--n-max", str(MAX_N_MAX + 1)), f"0..{MAX_N_MAX}, got"),
+        (("moments", "--k", str(MAX_K + 1), "--n-max", "10"), f"2..{MAX_K}, got"),
+        (
+            ("moments", "--k", "2", "--n-max", "10", "--tables", "projected",
+             "--order", str(MAX_ORDER + 1)),
+            f"2..{MAX_ORDER}, got",
+        ),
+        (("asympt", "--k", str(MAX_K + 1)), f"2..{MAX_K}, got"),
+        (("report", "--k-max", str(MAX_K + 1)), f"2..{MAX_K}, got"),
+    ],
+)
+def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def _stdlib_json(obj) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 import oracles
 from spacings.moments import (
+    MAX_K,
+    MAX_N_MAX,
+    MAX_ORDER,
     averaging_recursion_limit,
     cov_rates_by_extrapolation,
     cross_moment_recursion,
@@ -58,6 +62,12 @@ def test_float_mean_tracks_exact():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("k, n_max", [(2, 3000), (3, 2000), (8, 600), (3, 3), (5, 2)])
+def test_float_mean_is_bit_identical_to_numpy_step(k, n_max):
+    want = oracles.mean_recursion_numpy_step(k, n_max)
+    assert np.array_equal(mean_recursion(k, n_max).values, want)
+
+
 def test_one_step_and_cumulative_forms_agree():
     a = mean_recursion(2, 3000).values
     b = oracles.mean_recursion_cumulative(2, 3000)
@@ -96,6 +106,34 @@ def test_float_cross_moments_track_exact():
     assert worst < 1e-11
 
 
+def _floats(table):
+    return np.array(table, dtype=object).astype(float)
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 80), (4, 80), (5, 60)])
+def test_float_cross_moments_track_exact_every_entry(k, n_max):
+    want = _floats(cross_moment_recursion_exact(k, n_max))
+    fl = cross_moment_recursion(k, n_max)
+    np.testing.assert_allclose(fl.second, want, rtol=1e-12, atol=0)
+    assert np.array_equal(fl.second, fl.second.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cross_moments_match_exact_at_every_table_end(k):
+    # the loop fills k rows per step; every n_max ends a step somewhere else
+    for n_max in range(0, 3 * k + 2):
+        want = _floats(cross_moment_recursion_exact(k, n_max))
+        got = cross_moment_recursion(k, n_max).second
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=str(n_max))
+
+
+def test_cross_moments_accept_a_longer_mean_table():
+    longer = cross_moment_recursion(3, 50, mean_recursion(3, 100))
+    plain = cross_moment_recursion(3, 50)
+    assert np.array_equal(longer.second, plain.second)
+    assert np.array_equal(longer.cov, plain.cov)
+
+
 def test_cov_rate_reaches_limit_k2():
     res = cov_rates_by_extrapolation(2, 300)
     assert res.value[0][0] == pytest.approx(4 * math.exp(-4), abs=1e-10)
@@ -130,6 +168,18 @@ def test_projected_exact_twin_agrees_at_high_order():
     np.testing.assert_allclose(fl.raw, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "projection, k",
+    [((Fraction(-3, 2),), 2), ((1, -2, Fraction(1, 2)), 4), ((0, 1, -1, 3), 5)],
+)
+@pytest.mark.parametrize("n_max", [41, 42])
+def test_projected_exact_twin_agrees_with_mixed_signs(projection, k, n_max):
+    # both parities of the split length L, so rows with and without a centre term
+    ex = projected_moment_recursion_exact(projection, k, n_max, order=8)
+    fl = projected_moment_recursion([float(v) for v in projection], k, n_max, 8)
+    np.testing.assert_allclose(fl.raw, _floats(ex), rtol=1e-12, atol=0)
+
+
 def test_projected_raw_survives_overflow_off_the_anti_diagonals():
     # raw[n, m] ~ (1e30 n)^m: the pair entries with i + l > 8 overflow to inf,
     # yet every read entry stays finite, so no OverflowError may be raised
@@ -160,6 +210,20 @@ def test_projected_rejects_bad_input():
         projected_moment_recursion([1.0], 2, 10, order=1)
     with pytest.raises(OverflowError):
         projected_moment_recursion([1e40], 2, 400, order=8)
+
+
+def test_arguments_past_their_bounds_are_rejected():
+    with pytest.raises(ValueError, match=f"2..{MAX_K}"):
+        mean_recursion(MAX_K + 1, 10)
+    with pytest.raises(ValueError, match=f"0..{MAX_N_MAX}"):
+        cross_moment_recursion(2, MAX_N_MAX + 1)
+    with pytest.raises(ValueError, match=f"2..{MAX_ORDER}"):
+        projected_moment_recursion([1.0], 2, 10, order=MAX_ORDER + 1)
+    with pytest.raises(ValueError, match=f"2..{MAX_ORDER}"):
+        projected_moment_recursion_exact([1], 2, 10, order=MAX_ORDER + 1)
+    # the largest binomial weight of order MAX_ORDER is the last that is a double
+    assert math.comb(MAX_ORDER, MAX_ORDER // 2) < sys.float_info.max
+    assert math.comb(MAX_ORDER + 1, (MAX_ORDER + 1) // 2) > sys.float_info.max
 
 
 def test_averaging_limit_k2():
