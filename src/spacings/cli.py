@@ -430,6 +430,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "passed": r.passed,
                     "measured": r.measured,
                     "elapsed_s": r.elapsed_s,
+                    "stages": r.stages,
                 }
                 for r in results
             ]
@@ -440,7 +441,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.k_max > moments.MAX_K:  # before any block is computed
+    if not 2 <= args.k_max <= moments.MAX_K:  # before any block is computed
         raise ValueError(f"k must lie in 2..{moments.MAX_K}, got {args.k_max}")
     blocks = [
         _constants_block(

@@ -281,13 +281,17 @@ def empirical_counter(
 ) -> dict[GapCounts, int]:
     """Collapse simulation output arrays into a state counter.
 
-    Each (counts, hats) row is keyed by one opaque bytes value, so the sort
-    behind ``np.unique`` compares one key per row instead of row by row.
+    The (counts, hats) rows are sorted column by column with ``np.lexsort``,
+    so equal states become runs of adjacent rows; the run boundaries give
+    each distinct state once, with its frequency as the run length.
     """
-    rows = np.ascontiguousarray(np.column_stack([counts, hats]))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, freq = np.unique(keys, return_index=True, return_counts=True)
+    rows = np.column_stack([counts, hats])
+    if rows.shape[0] == 0:
+        return {}
+    rows = rows.take(np.lexsort(rows.T), axis=0)
+    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+    freq = np.diff(starts, append=rows.shape[0])
     return {
-        GapCounts(tuple(rows[i, :-1].tolist()), int(rows[i, -1])): int(f)
-        for i, f in zip(first, freq)
+        GapCounts(tuple(r[:-1]), r[-1]): f
+        for r, f in zip(rows[starts].tolist(), freq.tolist())
     }

@@ -9,6 +9,8 @@ each length 1..k-1 remain and by the number of blocks placed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+
 import numpy as np
 
 __all__ = [
@@ -75,20 +77,18 @@ def validate_counts(params: ProcessParams, g: GapCounts) -> bool:
 
     Checks shape, non-negativity, hook conservation, that at least one block
     was placed whenever the row could take one, and the forced single-run
-    shape for rows shorter than ``k``.
+    shape for rows shorter than ``k``.  Called once per simulated row by the
+    conservation check, so the body avoids generator expressions.
     """
     n, k = params.n, params.k
-    if len(g.counts) != k - 1:
+    counts, hats = g.counts, g.hats
+    if len(counts) != k - 1 or hats < 0 or min(counts) < 0:
         return False
-    if g.hats < 0 or any(c < 0 for c in g.counts):
+    if k * hats + sum(map(mul, counts, range(1, k))) != n:
         return False
-    if k * g.hats + vacancy(g) != n:
-        return False
-    if n >= k and g.hats < 1:
-        return False
-    if n < k and g != single_spacing_state(n, k):
-        return False
-    return True
+    if n >= k:
+        return hats >= 1
+    return g == single_spacing_state(n, k)
 
 
 def validate_counts_batch(

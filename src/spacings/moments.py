@@ -265,6 +265,15 @@ def cross_moment_recursion_exact(
     return second
 
 
+def _binomial_rows(order: int) -> list[list[int]]:
+    """Rows 0..order of Pascal's triangle in Python ints, zero-padded to order+1."""
+    rows = [[1] + [0] * order]
+    for _ in range(order):
+        prev = rows[-1]
+        rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, order + 1)])
+    return rows
+
+
 def projected_moment_recursion(
     projection: Sequence[float], k: int, n_max: int, order: int = 8
 ) -> ProjectedMomentTable:
@@ -288,7 +297,7 @@ def projected_moment_recursion(
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
     M = order
-    binom = np.array([[math.comb(m, i) for i in range(M + 1)] for m in range(M + 1)], float)
+    binom = np.array(_binomial_rows(M), float)
     raw = np.zeros((n_max + 1, M + 1))
     raw[: k + 1, 0] = 1.0
     with np.errstate(over="ignore"):

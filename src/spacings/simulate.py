@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENT_BUDGET = 1 << 22
+# round records (int64 entries) held before a chunk's tallies are brought up to date
+_TALLY_BATCH = 1 << 18
 
 
 def chunk_size(n: int, k: int) -> int:
@@ -143,20 +145,40 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _simulate_chunk(
     params: ProcessParams, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split-tree run of m replications; returns (counts, hats)."""
+    """Split-tree run of m replications; returns (counts, hats).
+
+    Each round draws the first block of every open run at once.  A round
+    only records what it saw: the flat cells row*(k-1) + length - 1 of the
+    runs it closed as spacings, and the rows of the runs it opened.  The
+    records are tallied by one ``bincount`` each once they reach the size
+    of the tally or ``_TALLY_BATCH`` entries, whichever is larger, and at
+    the end of the chunk.  At small n that is once or twice per chunk
+    instead of a chunk-sized tally every round; at large n it bounds the
+    memory the records hold.  Runs are selected by index (``take``), which
+    costs less than boolean masks on these arrays.
+    """
     n, k = params.n, params.k
     counts = np.zeros(m * (k - 1), dtype=np.int64)
     hats = np.zeros(m, dtype=np.int64)
+    flush_at = max(counts.size, _TALLY_BATCH)
+    cells: list[np.ndarray] = []
+    opened: list[np.ndarray] = []
+    pending = 0
     row = np.arange(m)
     run = np.full(m, n, dtype=np.int64)
     while True:
-        short = (run >= 1) & (run < k)
-        counts += np.bincount(row[short] * (k - 1) + run[short] - 1, minlength=counts.size)
-        open_ = run >= k
-        row, run = row[open_], run[open_]
+        short = np.flatnonzero((run >= 1) & (run < k))
+        cells.append(row.take(short) * (k - 1) + run.take(short) - 1)
+        keep = np.flatnonzero(run >= k)
+        row, run = row.take(keep), run.take(keep)
+        opened.append(row)
+        pending += short.size + keep.size
+        if pending >= flush_at or row.size == 0:
+            counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+            hats += np.bincount(np.concatenate(opened), minlength=m)
+            cells, opened, pending = [], [], 0
         if row.size == 0:
             break
-        hats += np.bincount(row, minlength=m)
         offset = rng.integers(0, run - k + 1)
         row = np.concatenate([row, row])
         run = np.concatenate([offset, run - k - offset])

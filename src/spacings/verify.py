@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class CheckResult:
     measured: str
     budget_s: float | None
     elapsed_s: float
+    # seconds per named stage of the body, for checks that time their parts
+    stages: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -39,15 +41,32 @@ class CheckResult:
 
 
 def _timed(
-    name: str, budget_s: float | None, body: Callable[[], tuple[bool, str]]
+    name: str,
+    budget_s: float | None,
+    body: Callable[[], tuple[bool, str]],
+    stages: dict[str, float] | None = None,
 ) -> CheckResult:
+    """Run ``body`` against its budget; ``stages`` is filled by the body's laps."""
     start = time.perf_counter()
     ok, measured = body()
     elapsed = time.perf_counter() - start
     if budget_s is not None and elapsed > budget_s:
         ok = False
         measured += f" (overran budget {budget_s:g}s)"
-    return CheckResult(name, bool(ok), measured, budget_s, elapsed)
+    return CheckResult(name, bool(ok), measured, budget_s, elapsed, dict(stages or {}))
+
+
+def _lap_timer(stages: dict[str, float]) -> Callable[[str], None]:
+    """``lap(name)`` adds the time since the previous lap (or creation) to ``stages[name]``."""
+    last = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        stages[name] = stages.get(name, 0.0) + now - last
+        last = now
+
+    return lap
 
 
 def closed_form_mean_gf_k2(z: float) -> float:
@@ -113,21 +132,25 @@ def check_simulator_against_exact(replications: int = 1_000_000) -> CheckResult:
     # TV tolerance is calibrated to 1e6 replications; smaller (smoke) runs
     # get the same criterion rescaled by the sampling rate sqrt(m)
     tv_tol = 5e-3 * math.sqrt(1_000_000 / replications)
+    stages: dict[str, float] = {}
 
     def body() -> tuple[bool, str]:
+        lap = _lap_timer(stages)
         msgs = []
         ok = True
         for n, k in ((10, 2), (10, 3), (12, 4)):
             params = ProcessParams(n, k)
-            pmf = exact.pmf_split(params)
             counter = simulate.state_counter(params, replications, VERIFY_SEED)
+            lap("sample_s")
+            pmf = exact.pmf_split(params)
             tv = exact.total_variation_empirical(pmf, counter)
             _, dof, p = exact.chi_square_gof(pmf, counter)
+            lap("law_s")
             ok &= tv < tv_tol and p > 1e-3
             msgs.append(f"(n={n},k={k}) tv={tv:.2e} p={p:.3f} dof={dof}")
         return ok, "; ".join(msgs) + f" (tv tol {tv_tol:g}, p > 1e-3)"
 
-    return _timed(f"04 simulator matches exact law ({replications:,} reps)", 60.0, body)
+    return _timed(f"04 simulator matches exact law ({replications:,} reps)", 60.0, body, stages)
 
 
 def check_mean_ratio_stabilizes_k3() -> CheckResult:
@@ -240,7 +263,10 @@ def check_drift_bound_tail() -> CheckResult:
 
 
 def check_conservation_at_scale(total: int = 10_000_000) -> CheckResult:
+    stages: dict[str, float] = {}
+
     def body() -> tuple[bool, str]:
+        lap = _lap_timer(stages)
         plan = [
             (ProcessParams(10, 2), total * 4 // 10),
             (ProcessParams(10, 3), total * 3 // 10),
@@ -249,15 +275,18 @@ def check_conservation_at_scale(total: int = 10_000_000) -> CheckResult:
         checked = 0
         for params, m in plan:
             for counts, hats in simulate.iter_state_chunks(params, m, VERIFY_SEED + 1):
+                lap("sample_s")
                 if not validate_counts_batch(params, counts, hats).all():
                     return False, f"batch validation failed at {params}"
+                lap("batch_s")
                 for row, h in zip(counts.tolist(), hats.tolist()):
                     if not validate_counts(params, GapCounts(tuple(row), h)):
                         return False, f"state {row}, hats={h} invalid for {params}"
+                lap("scalar_s")
                 checked += counts.shape[0]
         return checked >= total, f"{checked:,} states validated"
 
-    return _timed("12 every simulated state passes validation", None, body)
+    return _timed("12 every simulated state passes validation", None, body, stages)
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (

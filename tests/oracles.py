@@ -3,8 +3,8 @@
 Everything here works on explicit occupancy tuples with Fraction arithmetic
 and shares no code with the library: terminal states are found by recursing
 over every feasible placement, not by any splitting shortcut.  Slow on
-purpose; keep n at or below about 14.  The last four helpers are
-independent float and bookkeeping cross-checks of library code paths.
+purpose; keep n at or below about 14.  The helpers after ``mean_vacancy``
+are independent float and bookkeeping cross-checks of library code paths.
 """
 from __future__ import annotations
 
@@ -167,3 +167,51 @@ def cov_kernel_at(y: float, i: int, j: int, k: int, rates, inner_nodes: int) -> 
     trail = 2.0 + (4 * k - 3) * w + (2 * k - 1) ** 2 * w * w - 4.0 * k * k * w**3
     corr = rates[i - 1] * rates[j - 1] * (lead - trail * y**k) / (w * w)
     return diag + w * w * bi * bj - corr
+
+
+def simulate_chunk_per_round(n: int, k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Split-tree run of m replications with the tallies updated every round.
+
+    The engine's draws in the engine's order, each round adding its closed
+    spacings and opened rows into full (m, k-1) and (m,) tallies through
+    boolean masks; the engine records rounds and tallies them in batches.
+    """
+    counts = np.zeros(m * (k - 1), dtype=np.int64)
+    hats = np.zeros(m, dtype=np.int64)
+    row = np.arange(m)
+    run = np.full(m, n, dtype=np.int64)
+    while True:
+        short = (run >= 1) & (run < k)
+        counts += np.bincount(row[short] * (k - 1) + run[short] - 1, minlength=counts.size)
+        open_ = run >= k
+        row, run = row[open_], run[open_]
+        if row.size == 0:
+            break
+        hats += np.bincount(row, minlength=m)
+        offset = rng.integers(0, run - k + 1)
+        row = np.concatenate([row, row])
+        run = np.concatenate([offset, run - k - offset])
+    return counts.reshape(m, k - 1), hats
+
+
+def validate_counts_rules(n: int, k: int, counts: tuple[int, ...], hats: int) -> bool:
+    """The five terminal-state rules, spelled out one at a time.
+
+    Shape, non-negativity, hook conservation, a block whenever n >= k, and
+    for n < k the single spacing of length n (none for n = 0) with no block.
+    """
+    if len(counts) != k - 1:
+        return False
+    if hats < 0 or any(c < 0 for c in counts):
+        return False
+    if k * hats + sum(j * c for j, c in enumerate(counts, start=1)) != n:
+        return False
+    if n >= k and hats < 1:
+        return False
+    if n < k:
+        forced = [0] * (k - 1)
+        if n >= 1:
+            forced[n - 1] = 1
+        if list(counts) != forced or hats != 0:
+            return False
+    return True

@@ -114,7 +114,15 @@ def test_verify_quick_line_per_check(capsys, tmp_path):
     assert code == (0 if all_passed else 1)
     assert re.match(r"^\d+/12 checks passed$", lines[-1])
     report = json.loads(out_file.read_text())
-    assert len(report["payload"]["checks"]) == 12
+    checks = report["payload"]["checks"]
+    assert len(checks) == 12
+    stage_keys = {c["name"][:2]: set(c["stages"]) for c in checks}
+    assert stage_keys["04"] == {"sample_s", "law_s"}
+    assert stage_keys["12"] == {"sample_s", "batch_s", "scalar_s"}
+    assert all(not keys for name, keys in stage_keys.items() if name not in ("04", "12"))
+    for c in checks:
+        assert all(v >= 0 for v in c["stages"].values())
+        assert sum(c["stages"].values()) <= c["elapsed_s"]
 
 
 def test_out_dir_env_joins_relative_paths(capsys, tmp_path, monkeypatch):
@@ -159,6 +167,8 @@ def test_rule_node_count_over_max_exits_2(capsys):
         ),
         (("asympt", "--k", str(MAX_K + 1)), f"2..{MAX_K}, got"),
         (("report", "--k-max", str(MAX_K + 1)), f"2..{MAX_K}, got"),
+        (("report", "--k-max", "1"), f"2..{MAX_K}, got 1"),
+        (("report", "--k-max", "0"), f"2..{MAX_K}, got 0"),
     ],
 )
 def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):

@@ -1,11 +1,12 @@
 """Exact terminal law: both routes against the brute-force enumerator."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -164,6 +165,29 @@ def test_empirical_counter_groups_rows():
     hats = np.array([2, 1, 2], dtype=np.int64)
     got = empirical_counter(counts, hats)
     assert got == {GapCounts((1, 0), 2): 2, GapCounts((0, 2), 1): 1}
+
+
+@st.composite
+def _state_rows(draw) -> tuple[int, list[tuple[list[int], int]]]:
+    """(k, rows), the rows drawn from a small pool so that they repeat, as states do."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    row = st.tuples(st.lists(st.integers(0, 3), min_size=k - 1, max_size=k - 1), st.integers(0, 3))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    return k, draw(st.lists(st.sampled_from(pool), max_size=60))
+
+
+@given(_state_rows())
+@example((3, []))
+@example((3, [([1, 0], 2)]))
+@example((3, [([0, 1], 1)] * 9))
+def test_empirical_counter_matches_counter_over_rows(case):
+    k, rows = case
+    counts = np.array([c for c, _ in rows], dtype=np.int64).reshape(len(rows), k - 1)
+    hats = np.array([h for _, h in rows], dtype=np.int64)
+    got = empirical_counter(counts, hats)
+    assert got == Counter(GapCounts(tuple(c), h) for c, h in rows)
+    assert all(type(v) is int for v in got.values())
+    assert all(type(h) is int for g in got for h in (g.hats, *g.counts))
 
 
 @settings(max_examples=30)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -95,6 +95,31 @@ def test_batch_validation_matches_scalar(params, data):
     got = validate_counts_batch(params, counts, hats)
     want = [validate_counts(params, GapCounts(tuple(c), int(h))) for c, h in rows]
     assert got.tolist() == want
+
+
+@st.composite
+def _candidate_states(draw) -> tuple[int, int, tuple[int, ...], int]:
+    """(n, k, counts, hats), mostly conserving hooks so the other rules decide."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    length = draw(st.sampled_from([k - 1, k - 1, k - 1, k - 2, k]))
+    counts = tuple(draw(st.lists(st.integers(-2, 5), min_size=length, max_size=length)))
+    hats = draw(st.integers(-2, 4))
+    conserving = k * hats + sum(j * c for j, c in enumerate(counts, start=1))
+    rows = [conserving, conserving, conserving + 1] if conserving >= 0 else [0]
+    n = draw(st.sampled_from(rows) | st.integers(0, 20))
+    return n, k, counts, hats
+
+
+@given(_candidate_states())
+@example((9, 2, (-1,), 5))  # negative count, hooks conserved
+@example((1, 3, (2, 1), -1))  # negative hats, hooks conserved
+@example((0, 3, (0, 0), 0))  # the empty row
+@example((2, 5, (0, 1, 0, 0), 0))  # a row too short for a block
+@example((6, 4, (2, 0), 1))  # one count short
+def test_validate_matches_rule_oracle(state):
+    n, k, counts, hats = state
+    want = oracles.validate_counts_rules(n, k, counts, hats)
+    assert validate_counts(ProcessParams(n, k), GapCounts(counts, hats)) == want
 
 
 def test_states_are_hashable_value_types():

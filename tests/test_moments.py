@@ -13,6 +13,7 @@ from spacings.moments import (
     MAX_K,
     MAX_N_MAX,
     MAX_ORDER,
+    _binomial_rows,
     averaging_recursion_limit,
     cov_rates_by_extrapolation,
     cross_moment_recursion,
@@ -224,6 +225,14 @@ def test_arguments_past_their_bounds_are_rejected():
     # the largest binomial weight of order MAX_ORDER is the last that is a double
     assert math.comb(MAX_ORDER, MAX_ORDER // 2) < sys.float_info.max
     assert math.comb(MAX_ORDER + 1, (MAX_ORDER + 1) // 2) > sys.float_info.max
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 8, 57, 200])
+def test_binomial_rows_are_math_comb(order):
+    rows = _binomial_rows(order)
+    want = [[math.comb(m, i) for i in range(order + 1)] for m in range(order + 1)]
+    assert rows == want
+    assert np.array_equal(np.array(rows, float), np.array(want, float))
 
 
 def test_averaging_limit_k2():

@@ -15,6 +15,8 @@ from spacings.moments import mean_recursion_exact
 from spacings.simulate import (
     GapPool,
     SimConfig,
+    _chunk_rng,
+    _simulate_chunk,
     chunk_size,
     sample_gap,
     sample_states,
@@ -112,6 +114,22 @@ def test_vector_engine_matches_exact_law(n, k):
     assert total_variation_empirical(pmf, counter) < 0.005
     _, _, p = chi_square_gof(pmf, counter)
     assert p > 1e-4
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(0, 2), (1, 3), (2, 3), (10, 2), (10, 3), (12, 4), (33, 5), (400, 2), (64, 64)],
+)
+def test_chunk_tallies_equal_per_round_tallies(n, k):
+    # (10, 2), (10, 3), (33, 5) and (400, 2) pass the tally batch part-way
+    # through the chunk, (12, 4) and (64, 64) tally once at its end
+    m = min(chunk_size(n, k), 8192) if n >= 100 else chunk_size(n, k)
+    for index in (0, 7):
+        got = _simulate_chunk(ProcessParams(n, k), m, _chunk_rng(3, index))
+        want = oracles.simulate_chunk_per_round(n, k, m, _chunk_rng(3, index))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 def test_sample_states_validate_and_partial_chunks():
