@@ -280,13 +280,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_projection(text: str | None, k: int) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    values = tuple(float(v) for v in text.split(","))
-    if len(values) != k - 1:
-        raise SystemExit(f"error: projection needs {k - 1} entries, got {len(values)}")
-    return values
+def _parse_projection(text: str | None) -> tuple[float, ...] | None:
+    """Comma-separated weights; their length is checked where they are used."""
+    return None if text is None else tuple(float(v) for v in text.split(","))
 
 
 def _constants_obj(c: asy.AsymptoticConstants) -> dict:
@@ -317,7 +313,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params=params,
         replications=args.replications,
         seed=args.seed,
-        projection=_parse_projection(args.projection, args.k),
+        projection=_parse_projection(args.projection),
         moment_order=args.order,
     )
     stats = simulate.simulate_batch(config, threads=max(1, args.threads))
@@ -375,7 +371,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     wanted = [t.strip() for t in args.tables.split(",") if t.strip()]
     unknown = set(wanted) - {"mean", "cov", "projected"}
     if unknown:
-        raise SystemExit(f"error: unknown tables {sorted(unknown)}")
+        raise ValueError(f"unknown tables {sorted(unknown)}")
     k, n_max = args.k, args.n_max
     tables = []
     mean_table = moments.mean_recursion(k, n_max)
@@ -385,7 +381,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         cross = moments.cross_moment_recursion(k, n_max, mean_table)
         tables.append({"table": "cov", "values": cross.cov.tolist()})
     if "projected" in wanted:
-        proj = _parse_projection(args.projection, k) or tuple([1.0] * (k - 1))
+        proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
         pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
         tables.append({"table": "raw", "values": pt.raw.tolist()})
         tables.append({"table": "standardized", "values": pt.standardized.tolist()})
@@ -441,8 +437,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if not 2 <= args.k_max <= moments.MAX_K:  # before any block is computed
-        raise ValueError(f"k must lie in 2..{moments.MAX_K}, got {args.k_max}")
+    moments._check_k(args.k_max)  # before any block is computed
     blocks = [
         _constants_block(
             k, asy.constants_by_quadrature(k), asy.constants_by_extrapolation(k, args.n_max)

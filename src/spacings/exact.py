@@ -58,9 +58,6 @@ class Pmf:
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
 
-    def support(self) -> list[GapCounts]:
-        return sorted(self.probs, key=lambda g: (g.counts, g.hats))
-
     def prob(self, g: GapCounts) -> Fraction:
         return self.probs.get(g, Fraction(0))
 

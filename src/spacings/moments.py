@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -274,6 +274,20 @@ def _binomial_rows(order: int) -> list[list[int]]:
     return rows
 
 
+def _recenter(mom: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Central moments from moments about any point, row by row.
+
+    ``mom[:, p]`` is the p-th moment about some point: column 0 is the
+    mass (1 for a law) and column 1 the mean's offset from that point.
+    ``binom`` holds Pascal's rows 0..mom.shape[1]-1 (``_binomial_rows``).
+    """
+    powers = (-mom[:, 1:2]) ** np.arange(mom.shape[1])
+    central = np.empty_like(mom)
+    for m in range(mom.shape[1]):
+        central[:, m] = (mom[:, : m + 1] * powers[:, m::-1]) @ binom[m, : m + 1]
+    return central
+
+
 def projected_moment_recursion(
     projection: Sequence[float], k: int, n_max: int, order: int = 8
 ) -> ProjectedMomentTable:
@@ -328,12 +342,10 @@ def projected_moment_recursion(
         )
     std = np.zeros_like(raw)
     std[:, 0] = 1.0
-    r = raw[1:]
-    powers = (-r[:, 1:2]) ** np.arange(M + 1)
+    central = _recenter(raw[1:], binom)
     scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
     for m in range(1, M + 1):
-        central = (r[:, : m + 1] * powers[:, m::-1]) @ binom[m, : m + 1]
-        std[1:, m] = central * scale**m
+        std[1:, m] = central[:, m] * scale**m
     return ProjectedMomentTable(k, c, raw, std)
 
 
@@ -365,6 +377,13 @@ def projected_moment_recursion_exact(
     return raw
 
 
+def _read_out(rate: Callable[[int], np.ndarray], n_max: int) -> ExtrapolationResult:
+    """``rate(n_max)`` with its change against ``STABILIZATION_LOOKBACK`` rows earlier."""
+    value = rate(n_max)
+    gap = float(np.abs(value - rate(n_max - STABILIZATION_LOOKBACK)).max())
+    return ExtrapolationResult(value, gap, gap < STABILIZATION_TOL, n_max)
+
+
 def rates_by_extrapolation(
     k: int, n_max: int = 200, means: MeanTable | None = None
 ) -> ExtrapolationResult:
@@ -378,10 +397,7 @@ def rates_by_extrapolation(
         raise ValueError("n_max too small to diagnose stabilization")
     if means is None or means.n_max < n_max:
         means = mean_recursion(k, n_max)
-    value = means.rate(n_max)
-    prev = means.rate(n_max - STABILIZATION_LOOKBACK)
-    gap = float(np.abs(value - prev).max())
-    return ExtrapolationResult(value, gap, gap < STABILIZATION_TOL, n_max)
+    return _read_out(means.rate, n_max)
 
 
 def cov_rates_by_extrapolation(
@@ -392,10 +408,7 @@ def cov_rates_by_extrapolation(
         raise ValueError("n_max too small to diagnose stabilization")
     if table is None or table.n_max < n_max:
         table = cross_moment_recursion(k, n_max)
-    value = table.cov_rate(n_max)
-    prev = table.cov_rate(n_max - STABILIZATION_LOOKBACK)
-    gap = float(np.abs(value - prev).max())
-    return ExtrapolationResult(value, gap, gap < STABILIZATION_TOL, n_max)
+    return _read_out(table.cov_rate, n_max)
 
 
 def averaging_recursion_limit(

@@ -30,6 +30,7 @@ import numpy as np
 
 from .exact import empirical_counter
 from .model import GapCounts, ProcessParams, validate_counts_batch
+from .moments import MAX_ORDER, _binomial_rows, _recenter
 
 __all__ = [
     "SimConfig",
@@ -68,8 +69,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.moment_order < 2:
-            raise ValueError("moment_order must be >= 2")
+        # the power sums run to twice the order, within MAX_ORDER's binomial rows
+        if not 2 <= self.moment_order <= MAX_ORDER // 2:
+            raise ValueError(
+                f"moment_order must lie in 2..{MAX_ORDER // 2}, got {self.moment_order}"
+            )
         if self.projection is not None and len(self.projection) != self.params.k - 1:
             raise ValueError(f"projection must have length {self.params.k - 1}")
 
@@ -137,6 +141,13 @@ def simulate_once(
     return GapCounts(tuple(counts), hats)
 
 
+def _chunk_sizes(params: ProcessParams, replications: int) -> Iterator[int]:
+    """The stream layout: chunk c has this many rows and draws from ``_chunk_rng(seed, c)``."""
+    size = chunk_size(params.n, params.k)
+    for start in range(0, replications, size):
+        yield min(size, replications - start)
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     return np.random.Generator(np.random.PCG64(ss))
@@ -195,14 +206,8 @@ def iter_state_chunks(
     """Yield (counts, hats) arrays chunk by chunk, deterministically."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    size = chunk_size(params.n, params.k)
-    produced = 0
-    index = 0
-    while produced < replications:
-        m = min(size, replications - produced)
+    for index, m in enumerate(_chunk_sizes(params, replications)):
         yield _simulate_chunk(params, m, _chunk_rng(seed, index))
-        produced += m
-        index += 1
 
 
 def sample_states(
@@ -226,28 +231,18 @@ def state_counter(
     return dict(acc)
 
 
-@dataclass
-class _ChunkSums:
-    """Order-independent partial sums for one chunk."""
-
-    m: int
-    sum_counts: np.ndarray  # (k-1,), exact integers
-    sum_outer: np.ndarray  # (k-1, k-1), exact integers
-    pow_sums: np.ndarray  # (2*order+1,), sums of (y - shift)**p
-
-
 @np.errstate(over="ignore", invalid="ignore")  # simulate_batch checks the sums
 def _chunk_sums(
     counts: np.ndarray, c: np.ndarray, shift: float, order: int
-) -> _ChunkSums:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk's order-independent partial sums.
+
+    The counts' column sums and Gram matrix, exact in int64, and the sums
+    of (y - shift)**p for p = 0..2*order, y the projected counts.
+    """
     y = counts @ c - shift
     pows = y[:, None] ** np.arange(2 * order + 1)
-    return _ChunkSums(
-        m=counts.shape[0],
-        sum_counts=counts.sum(axis=0),
-        sum_outer=counts.T @ counts,
-        pow_sums=pows.sum(axis=0),
-    )
+    return counts.sum(axis=0), counts.T @ counts, pows.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -292,24 +287,26 @@ class SampleStats:
 def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
     """Run the full batch and reduce to :class:`SampleStats`.
 
-    The projection shift (used to keep high powers well-conditioned) is the
-    rounded projected mean of chunk 0, which makes it a deterministic
-    function of (params, seed); every chunk is then summed against the same
-    shift and partials are reduced in chunk order.  Raises OverflowError
-    when the power sums or standardized moments leave double range.
+    Chunks follow ``_chunk_sizes``.  The projection shift (used to keep
+    high powers well-conditioned) is the rounded projected mean of chunk 0,
+    which makes it a deterministic function of (params, seed).  Each chunk
+    gives its ``_chunk_sums`` against that shift; the int64 sums merge
+    exactly and the power sums by one ``math.fsum`` per power, so neither
+    depends on the thread count.  The power means, moments about the
+    shift, go through ``moments._recenter`` once, and moment p is then
+    scaled by n**(-p/2).  Raises OverflowError when the power sums or
+    standardized moments leave double range.
     """
     params = config.params
     n, k = params.n, params.k
     c = config.projection_vector()
     order = config.moment_order
-    size = chunk_size(n, k)
-    total = config.replications
-    sizes = [min(size, total - i * size) for i in range((total + size - 1) // size)]
+    sizes = list(_chunk_sizes(params, config.replications))
 
     first_counts, _ = _simulate_chunk(params, sizes[0], _chunk_rng(config.seed, 0))
-    shift = float(np.round((first_counts @ c).mean())) if sizes[0] else 0.0
+    shift = float(np.round((first_counts @ c).mean()))
 
-    def work(idx: int) -> _ChunkSums:
+    def work(idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if idx == 0:
             counts = first_counts
         else:
@@ -323,25 +320,15 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
     else:
         parts = [work(i) for i in indices]
 
-    m = sum(p.m for p in parts)
-    sum_counts = np.sum([p.sum_counts for p in parts], axis=0)
-    sum_outer = np.sum([p.sum_outer for p in parts], axis=0)
-    pow_sums = np.array(
-        [math.fsum(float(p.pow_sums[q]) for p in parts) for q in range(2 * order + 1)]
-    )
-
-    mean = sum_counts / m
-    cov = sum_outer / m - np.outer(mean, mean)
+    m = config.replications
+    counts_parts, outer_parts, pow_parts = zip(*parts)
+    mean = np.sum(counts_parts, axis=0) / m
+    cov = np.sum(outer_parts, axis=0) / m - np.outer(mean, mean)
     mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / m)
 
-    t = pow_sums / m  # t[p] = mean of (y - shift)^p
-    delta = t[1]
-    central = np.zeros(2 * order + 1)
-    for p in range(2 * order + 1):
-        i = np.arange(p + 1)
-        central[p] = np.array(
-            [math.comb(p, int(q)) for q in i]
-        ) @ (t[: p + 1] * (-delta) ** (p - i))
+    pow_sums = np.array([math.fsum(q) for q in zip(*pow_parts)])
+    binom = np.array(_binomial_rows(2 * order), float)
+    central = _recenter((pow_sums / m)[None, :], binom)[0]
     scale = float(n) ** -0.5 if n >= 1 else 0.0
     std = np.array([central[p] * scale**p for p in range(order + 1)])
     var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)
@@ -351,7 +338,7 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
 
     rng_id = (
         f"numpy {np.__version__} PCG64/SeedSequence(entropy=seed, spawn_key=(chunk,)), "
-        f"split-tree rounds, chunk_size={size}"
+        f"split-tree rounds, chunk_size={chunk_size(n, k)}"
     )
     return SampleStats(
         config=config,

@@ -8,8 +8,10 @@ are independent float and bookkeeping cross-checks of library code paths.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,6 +194,69 @@ def simulate_chunk_per_round(n: int, k: int, m: int, rng) -> tuple[np.ndarray, n
         row = np.concatenate([row, row])
         run = np.concatenate([offset, run - k - offset])
     return counts.reshape(m, k - 1), hats
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def batch_stats_per_chunk_comb(config, chunks) -> dict[str, np.ndarray | float]:
+    """Batch statistics reduced as the simulator once reduced them.
+
+    ``chunks`` are the counts arrays of the batch in chunk order.  Each
+    chunk becomes a record of its row count, int64 count sums and Gram
+    matrix, and power sums of the projected counts about a shift; records
+    merge by ``np.sum`` and one ``math.fsum`` per order, and the power
+    means are re-centered with one ``math.comb`` per binomial coefficient.
+    Besides the ``SampleStats`` fields, ``terms[p]`` is the sum of the
+    magnitudes of the terms that make central moment p, the scale of the
+    rounding error in it.
+    """
+    n = config.params.n
+    c = config.projection_vector()
+    order = config.moment_order
+    shift = float(np.round((chunks[0] @ c).mean()))
+    parts = []
+    for counts in chunks:
+        y = counts @ c - shift
+        pows = y[:, None] ** np.arange(2 * order + 1)
+        parts.append(
+            SimpleNamespace(
+                m=counts.shape[0],
+                sum_counts=counts.sum(axis=0),
+                sum_outer=counts.T @ counts,
+                pow_sums=pows.sum(axis=0),
+            )
+        )
+    m = sum(p.m for p in parts)
+    sum_counts = np.sum([p.sum_counts for p in parts], axis=0)
+    sum_outer = np.sum([p.sum_outer for p in parts], axis=0)
+    pow_sums = np.array(
+        [math.fsum(float(p.pow_sums[q]) for p in parts) for q in range(2 * order + 1)]
+    )
+    mean = sum_counts / m
+    cov = sum_outer / m - np.outer(mean, mean)
+    mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / m)
+    t = pow_sums / m
+    delta = t[1]
+    central = np.zeros(2 * order + 1)
+    terms = np.zeros(2 * order + 1)
+    for p in range(2 * order + 1):
+        i = np.arange(p + 1)
+        comb = np.array([math.comb(p, int(q)) for q in i])
+        central[p] = comb @ (t[: p + 1] * (-delta) ** (p - i))
+        terms[p] = comb @ (np.abs(t[: p + 1]) * abs(delta) ** (p - i))
+    scale = float(n) ** -0.5 if n >= 1 else 0.0
+    std = np.array([central[p] * scale**p for p in range(order + 1)])
+    var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)
+    std_se = np.sqrt(var_p / m) * scale ** np.arange(order + 1)
+    return {
+        "replications": m,
+        "mean": mean,
+        "mean_se": mean_se,
+        "cov": cov,
+        "std_moments": std,
+        "std_moment_se": std_se,
+        "shift": shift,
+        "terms": terms,
+    }
 
 
 def validate_counts_rules(n: int, k: int, counts: tuple[int, ...], hats: int) -> bool:

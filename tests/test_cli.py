@@ -83,8 +83,10 @@ def test_moments_mean_table(capsys):
 
 
 def test_moments_rejects_unknown_table(capsys):
-    with pytest.raises(SystemExit):
-        main(["moments", "--k", "2", "--n-max", "8", "--tables", "median"])
+    code = main(["moments", "--k", "2", "--n-max", "8", "--tables", "median"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown tables ['median']" in captured.err
 
 
 def test_asympt_both_routes(capsys):
@@ -144,8 +146,14 @@ def test_resource_errors_exit_2(capsys):
 
 
 def test_bad_projection_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        main(["simulate", "--n", "10", "--k", "2", "--projection", "1,2"])
+    for argv in (
+        ["simulate", "--n", "10", "--k", "2", "--projection", "1,2"],
+        ["moments", "--k", "2", "--n-max", "10", "--tables", "projected", "--projection", "1,2"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "projection must have length 1" in captured.err
 
 
 def test_rule_node_count_over_max_exits_2(capsys):
@@ -169,6 +177,8 @@ def test_rule_node_count_over_max_exits_2(capsys):
         (("report", "--k-max", str(MAX_K + 1)), f"2..{MAX_K}, got"),
         (("report", "--k-max", "1"), f"2..{MAX_K}, got 1"),
         (("report", "--k-max", "0"), f"2..{MAX_K}, got 0"),
+        (("simulate", "--n", "10", "--k", "2", "--order", str(MAX_ORDER // 2 + 1)),
+         f"2..{MAX_ORDER // 2}, got {MAX_ORDER // 2 + 1}"),
     ],
 )
 def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from spacings.moments import (
@@ -14,6 +16,7 @@ from spacings.moments import (
     MAX_N_MAX,
     MAX_ORDER,
     _binomial_rows,
+    _recenter,
     averaging_recursion_limit,
     cov_rates_by_extrapolation,
     cross_moment_recursion,
@@ -233,6 +236,35 @@ def test_binomial_rows_are_math_comb(order):
     want = [[math.comb(m, i) for i in range(order + 1)] for m in range(order + 1)]
     assert rows == want
     assert np.array_equal(np.array(rows, float), np.array(want, float))
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+
+@settings(max_examples=50)
+@given(
+    samples=st.lists(st.lists(_SMALL_RATIONALS, min_size=1, max_size=12), min_size=1, max_size=4),
+    about=_SMALL_RATIONALS,
+    order=st.integers(1, 10),
+)
+def test_recenter_matches_exact_central_moments(samples, about, order):
+    """Each row: the moments of one sample about ``about``, against exact central moments.
+
+    The tolerance is relative to the summed magnitudes of the expansion's
+    terms, the size of the rounding the re-centering can make.
+    """
+    def moments_about(xs, a):
+        return [sum((x - a) ** p for x in xs) / len(xs) for p in range(order + 1)]
+
+    about_point = np.array([[float(v) for v in moments_about(xs, about)] for xs in samples])
+    got = _recenter(about_point, np.array(_binomial_rows(order), float))
+    for xs, row, mom in zip(samples, got, about_point):
+        want = moments_about(xs, sum(xs) / len(xs))
+        for m in range(order + 1):
+            terms = sum(
+                math.comb(m, i) * abs(mom[i]) * abs(mom[1]) ** (m - i) for i in range(m + 1)
+            )
+            assert abs(row[m] - float(want[m])) <= 1e-13 * terms, (m, row[m], want[m])
 
 
 def test_averaging_limit_k2():

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 import oracles
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
-from spacings.moments import mean_recursion_exact
+from spacings.moments import MAX_ORDER, mean_recursion_exact
 from spacings.simulate import (
     GapPool,
     SimConfig,
     _chunk_rng,
+    _chunk_sizes,
     _simulate_chunk,
     chunk_size,
+    iter_state_chunks,
     sample_gap,
     sample_states,
     simulate_batch,
@@ -184,6 +186,8 @@ def test_config_validation():
         SimConfig(ProcessParams(10, 2), 10, seed=0, projection=(1.0, 2.0))
     with pytest.raises(ValueError):
         SimConfig(ProcessParams(10, 2), 10, seed=0, moment_order=1)
+    with pytest.raises(ValueError, match=f"2..{MAX_ORDER // 2}, got"):
+        SimConfig(ProcessParams(10, 2), 10, seed=0, moment_order=MAX_ORDER // 2 + 1)
 
 
 def test_tiny_batch_and_degenerate_rows():
@@ -244,3 +248,80 @@ def test_stats_serialize_to_json():
     assert back["projection"] == [1.0, 0.5, 2.0]
     assert len(back["std_moments"]) == cfg.moment_order + 1
     assert "PCG64" in back["rng"]
+
+
+@pytest.mark.parametrize(
+    "n, k, replications",
+    [(10, 2, 1), (10, 2, 65_536), (10, 2, 65_537), (9, 3, 3 * 65_536 + 137), (4000, 2, 5000)],
+)
+def test_chunk_sizes_deal_out_every_replication(n, k, replications):
+    params = ProcessParams(n, k)
+    sizes = list(_chunk_sizes(params, replications))
+    assert sum(sizes) == replications
+    assert all(m == chunk_size(n, k) for m in sizes[:-1])
+    assert 1 <= sizes[-1] <= chunk_size(n, k)
+
+
+# (n, k, projection, replications) of one chunk each
+REDUCTION_SHAPES = [
+    (0, 2, None, 3000),
+    (2, 3, None, 3000),
+    (10, 2, None, 3000),
+    (12, 4, None, 3000),
+    (40, 3, None, 3000),
+    (200, 4, (1.0, -2.0, 0.5), 3000),
+]
+THREE_CHUNKS = (12, 4, (1.0, 0.5, 2.0), 2 * chunk_size(12, 4) + 137)
+
+
+def _batch_and_reference(n, k, projection, replications, order):
+    cfg = SimConfig(ProcessParams(n, k), replications, seed=7, projection=projection,
+                    moment_order=order)
+    chunks = [counts for counts, _ in iter_state_chunks(cfg.params, replications, cfg.seed)]
+    return cfg, oracles.batch_stats_per_chunk_comb(cfg, chunks)
+
+
+@pytest.mark.parametrize(
+    "n, k, projection, replications, order",
+    [(*shape, order) for shape in REDUCTION_SHAPES for order in (2, 6, 10, 33)]
+    + [(*THREE_CHUNKS, order) for order in (6, 33)],
+)
+def test_batch_reduction_is_bit_identical_to_per_chunk_comb(n, k, projection, replications, order):
+    cfg, want = _batch_and_reference(n, k, projection, replications, order)
+    for threads in (1, 3):
+        got = simulate_batch(cfg, threads=threads)
+        for field in ("replications", "mean", "mean_se", "cov", "std_moments",
+                      "std_moment_se", "shift"):
+            a, b = np.asarray(getattr(got, field)), np.asarray(want[field])
+            assert a.dtype == b.dtype and np.array_equal(a, b), (field, threads)
+
+
+@pytest.mark.parametrize("order", [60, 100, 200])
+@pytest.mark.parametrize("n, k, projection, replications", REDUCTION_SHAPES)
+def test_batch_reduction_agrees_with_per_chunk_comb_at_high_order(
+    n, k, projection, replications, order
+):
+    """Past central order 66 the reference's binomials are Python ints, so the last bits differ.
+
+    Agreement is to 1e-12 of ``terms``, the magnitude of the summed terms:
+    where the re-centering cancels, neither route holds more digits than that.
+    """
+    cfg, want = _batch_and_reference(n, k, projection, replications, order)
+    if not all(np.isfinite(want[f]).all() for f in ("std_moments", "std_moment_se")):
+        with pytest.raises(OverflowError):
+            simulate_batch(cfg)
+        return
+    got = simulate_batch(cfg)
+    p = np.arange(order + 1)
+    scale = float(n) ** -0.5 if n >= 1 else 0.0
+    terms = want["terms"]
+    assert np.all(
+        np.abs(got.std_moments - want["std_moments"]) <= 1e-12 * terms[p] * scale**p
+    )
+    # the standard errors are sqrt((central[2p] - central[p]**2) / m) * scale**p,
+    # and |central[p]| <= terms[p]
+    var_terms = terms[2 * p] + 3 * terms[p] ** 2
+    assert np.all(
+        np.abs(got.std_moment_se**2 - want["std_moment_se"] ** 2)
+        <= 1e-12 * var_terms / replications * scale ** (2 * p)
+    )
