@@ -13,11 +13,14 @@ length >= k; every feasible block (gap, offset) is taken with probability
 1/W where W is the total number of feasible blocks.  Agreement of the two
 routes on their common range is a strong end-to-end check.
 
-All probabilities are exact rationals.
+All probabilities are exact rationals.  The goodness-of-fit p-value is a
+float: the chi-square upper tail summed from its finite series
+(``_chi2_sf``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,7 +84,7 @@ class Pmf:
                 "prob_den": p.denominator,
                 "prob": float(p),
             }
-            for g, p in sorted(self.probs.items(), key=lambda kv: (kv[0].counts, kv[0].hats))
+            for g, p in sorted(self.probs.items())
         ]
 
 
@@ -263,14 +266,40 @@ def chi_square_gof(
         return 0.0, 0, 1.0
     stat = sum((obs - exp) ** 2 / exp for exp, obs in cells)
     dof = len(cells) - 1
-    from scipy.stats import chi2  # imported on use: most of the package's import time
+    return stat, dof, _chi2_sf(stat, dof)
 
-    pvalue = float(chi2.sf(stat, dof))
-    return stat, dof, pvalue
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with integer ``dof`` >= 1.
+
+    This is Q(dof/2, y), y = x/2, from its finite series: for even dof
+    e^-y * sum_{i < dof/2} y^i / i!, for odd dof
+    erfc(sqrt(y)) + sum_{i < (dof-1)/2} e^-y * y^(i+1/2) / Gamma(i+3/2).
+    Each term is formed in log space, so e^-y cannot underflow before it
+    meets a large power of y, and the positive terms are summed with
+    ``math.fsum``; rounding can carry that sum an ulp past 1, which is
+    clipped.  The exponent of a term is off by a few y*eps, so the relative
+    error grows like y*eps: against scipy's ``chdtrc`` it stays within
+    2e-13 for dof <= 200 and x <= 800, and within 2e-11 for dof <= 5000
+    and x <= 2e4.
+    """
+    if dof < 1:
+        raise ValueError(f"chi-square dof must be >= 1, got {dof}")
+    y = x / 2
+    if y <= 0:  # x <= 0, or so small that x/2 rounds to 0
+        return 1.0
+    log_y = math.log(y)
+    half = dof % 2 / 2  # exponents are i for even dof, i + 1/2 for odd
+    terms = [
+        math.exp((i + half) * log_y - y - math.lgamma(i + half + 1)) for i in range(dof // 2)
+    ]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(1.0, math.fsum(terms))
 
 
 def sorted_preview(states: Iterable[GapCounts], limit: int = 3) -> list[GapCounts]:
-    return sorted(states, key=lambda g: (g.counts, g.hats))[:limit]
+    return sorted(states)[:limit]
 
 
 def empirical_counter(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +45,13 @@ class ProcessParams:
         return range(1, self.k)
 
 
-@dataclass(frozen=True)
-class GapCounts:
+class GapCounts(NamedTuple):
     """Terminal configuration of one run of the process.
 
     ``counts[j-1]`` is the number of maximal free runs of exactly ``j``
     hooks, j = 1..k-1.  ``hats`` is the number of blocks placed.  Hooks are
-    conserved: ``k*hats + sum(j * counts[j-1]) == n``.
+    conserved: ``k*hats + sum(j * counts[j-1]) == n``.  States are
+    immutable, hashable and ordered by (counts, hats).
     """
 
     counts: tuple[int, ...]

@@ -48,6 +48,8 @@ __all__ = [
 _CHUNK_ELEMENT_BUDGET = 1 << 22
 # round records (int64 entries) held before a chunk's tallies are brought up to date
 _TALLY_BATCH = 1 << 18
+# rows whose moment powers are held at once: 4096 * (2*order+1) floats
+_POWER_ROWS = 4096
 
 
 def chunk_size(n: int, k: int) -> int:
@@ -238,11 +240,19 @@ def _chunk_sums(
     """One chunk's order-independent partial sums.
 
     The counts' column sums and Gram matrix, exact in int64, and the sums
-    of (y - shift)**p for p = 0..2*order, y the projected counts.
+    of (y - shift)**p for p = 0..2*order, y the projected counts.  The
+    powers are raised ``_POWER_ROWS`` rows at a time.  An axis-0 sum adds
+    rows one after another, so adding the running total into a block's
+    first row before its sum gives the bits of one sum over all rows.
     """
     y = counts @ c - shift
-    pows = y[:, None] ** np.arange(2 * order + 1)
-    return counts.sum(axis=0), counts.T @ counts, pows.sum(axis=0)
+    p = np.arange(2 * order + 1)
+    for start in range(0, y.size, _POWER_ROWS):
+        pows = y[start : start + _POWER_ROWS, None] ** p
+        if start:
+            pows[0] += total
+        total = pows.sum(axis=0)
+    return counts.sum(axis=0), counts.T @ counts, total
 
 
 @dataclass(frozen=True)

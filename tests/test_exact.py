@@ -1,17 +1,25 @@
 """Exact terminal law: both routes against the brute-force enumerator."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 import oracles
+import spacings
 from spacings.exact import (
     CapExceededError,
+    _chi2_sf,
     chi_square_gof,
     empirical_counter,
     moments_from_pmf,
@@ -158,6 +166,59 @@ def test_chi_square_pools_rare_cells():
     assert dof >= 1
     # pooling can only reduce the cell count
     assert dof < len(pmf.probs)
+
+
+def _tail_tol(x: float, dof: int) -> float:
+    """The relative error bound of ``_chi2_sf``, which grows with x."""
+    return 1e-11 if dof <= 200 and x <= 800 else 1e-10
+
+
+def _assert_tail_matches_scipy(x: float, dof: int) -> None:
+    got = _chi2_sf(x, dof)
+    for want in (float(chdtrc(dof, x)), float(chi2.sf(x, dof))):
+        if want > 1e-300:
+            assert got == pytest.approx(want, rel=_tail_tol(x, dof), abs=0), (x, dof)
+
+
+def test_chi2_tail_matches_scipy_on_a_grid():
+    for dof in [*range(1, 201), 1001, 5000]:
+        xs = np.linspace(0.0, 4.5 * dof + 20, 61).tolist()
+        tail = [_chi2_sf(x, dof) for x in xs]
+        for x in xs:
+            _assert_tail_matches_scipy(x, dof)
+        assert tail[0] == 1.0
+        # non-increasing up to the error bound: where the tail is within 1e-14
+        # of 1, the rounding of its terms moves the sum more than the law does
+        assert all(b <= a * (1 + _tail_tol(x, dof)) for x, a, b in zip(xs[1:], tail, tail[1:]))
+
+
+@given(
+    dof=st.integers(min_value=1, max_value=300),
+    x=st.floats(min_value=0.0, max_value=3000.0, allow_nan=False),
+)
+def test_chi2_tail_matches_scipy(dof, x):
+    _assert_tail_matches_scipy(x, dof)
+
+
+def test_chi2_tail_edges():
+    assert _chi2_sf(0.0, 1) == _chi2_sf(-3.0, 7) == 1.0
+    with pytest.raises(ValueError):
+        _chi2_sf(1.0, 0)
+
+
+def test_goodness_of_fit_leaves_scipy_unimported():
+    code = (
+        "import sys\n"
+        "import spacings.cli\n"
+        "from spacings import exact, verify\n"
+        "from spacings.model import ProcessParams\n"
+        "assert verify.check_simulator_against_exact(20_000).passed\n"
+        "pmf = exact.pmf_split(ProcessParams(6, 2))\n"
+        "exact.chi_square_gof(pmf, {g: 1 + int(p * 900) for g, p in pmf.probs.items()})\n"
+        "assert not any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+    )
+    src = str(Path(spacings.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_empirical_counter_groups_rows():

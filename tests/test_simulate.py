@@ -13,10 +13,12 @@ from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
 from spacings.moments import MAX_ORDER, mean_recursion_exact
 from spacings.simulate import (
+    _POWER_ROWS,
     GapPool,
     SimConfig,
     _chunk_rng,
     _chunk_sizes,
+    _chunk_sums,
     _simulate_chunk,
     chunk_size,
     iter_state_chunks,
@@ -260,6 +262,16 @@ def test_chunk_sizes_deal_out_every_replication(n, k, replications):
     assert sum(sizes) == replications
     assert all(m == chunk_size(n, k) for m in sizes[:-1])
     assert 1 <= sizes[-1] <= chunk_size(n, k)
+
+
+@pytest.mark.parametrize("order", [2, 8, 60])
+def test_blocked_power_sums_are_bit_identical_to_one_sum(order):
+    rng = np.random.default_rng(order)
+    counts = rng.integers(0, 12, size=(2 * _POWER_ROWS + 137, 3))  # three blocks, one partial
+    c = np.array([1.0, -2.0, 0.5])
+    y = counts @ c - 4.0
+    want = (y[:, None] ** np.arange(2 * order + 1)).sum(axis=0)
+    assert _chunk_sums(counts, c, 4.0, order)[2].tobytes() == want.tobytes()
 
 
 # (n, k, projection, replications) of one chunk each
