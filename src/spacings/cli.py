@@ -239,7 +239,9 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--projection", help="comma-separated weights, length k-1")
     sim.add_argument("--order", type=int, default=8, help="highest standardized moment")
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sim.add_argument(
+        "--threads", type=int, default=min(os.cpu_count() or 1, simulate.MAX_THREADS)
+    )
     _add_common(sim)
 
     ex = sub.add_parser("exact", help="exact terminal-state distribution")
@@ -316,7 +318,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         projection=_parse_projection(args.projection),
         moment_order=args.order,
     )
-    stats = simulate.simulate_batch(config, threads=max(1, args.threads))
+    stats = simulate.simulate_batch(config, threads=args.threads)
     payload = stats.to_obj()
     env = build_envelope(
         "simulate",

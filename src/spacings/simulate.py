@@ -15,16 +15,21 @@ chunk c draws from PCG64 seeded with SeedSequence(entropy=seed,
 spawn_key=(c,)).  The chunk size is a deterministic function of (n, k), so
 a given (params, replications, seed) triple yields bit-identical output on
 a given numpy version, independent of thread count; partial results merge
-by summation in chunk order.
+by summation in chunk order.  Because a chunk is sampled from its own stream
+wherever it runs, ``map_chunks`` may hand chunks to forked worker
+processes without changing a single draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +47,10 @@ __all__ = [
     "iter_state_chunks",
     "sample_states",
     "state_counter",
+    "state_counters",
+    "map_chunks",
     "chunk_size",
+    "MAX_THREADS",
 ]
 
 _CHUNK_ELEMENT_BUDGET = 1 << 22
@@ -50,6 +58,8 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 _TALLY_BATCH = 1 << 18
 # rows whose moment powers are held at once: 4096 * (2*order+1) floats
 _POWER_ROWS = 4096
+# simulate_batch's thread count: each thread is an OS thread
+MAX_THREADS = 256
 
 
 def chunk_size(n: int, k: int) -> int:
@@ -223,14 +233,87 @@ def sample_states(
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity set, where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunk(job: tuple) -> tuple[float, Any]:
+    """Sample one chunk from its own stream and reduce it: (sampling seconds, result)."""
+    fn, params, m, seed, index = job
+    start = time.perf_counter()
+    counts, hats = _simulate_chunk(params, m, _chunk_rng(seed, index))
+    return time.perf_counter() - start, fn(params, counts, hats)
+
+
+def map_chunks(
+    fn: Callable[[ProcessParams, np.ndarray, np.ndarray], Any],
+    requests: Sequence[tuple[ProcessParams, int, int]],
+) -> tuple[list[list[Any]], float]:
+    """``fn(params, counts, hats)`` over every chunk of each (params, replications, seed) request.
+
+    Returns each request's results in chunk order, and the seconds spent
+    sampling, summed over the chunks.  A chunk is sampled where it is
+    reduced, from ``_chunk_rng(seed, index)``, so nothing but the results
+    crosses between processes and no result depends on where it ran.  With
+    more than one CPU and chunk, a platform that can fork and no other
+    thread running, the chunks run on ``min(CPUs, chunks)`` forked worker
+    processes, in a pool that lasts for this call; ``fn`` must then be a
+    module-level function whose result pickles.  Otherwise they run here,
+    one after another.  Forked workers start at once and see the caller's
+    modules as they are, patched functions included; a child of a process
+    with other threads could inherit a lock that one of them held.
+    """
+    jobs, owners = [], []
+    for owner, (params, replications, seed) in enumerate(requests):
+        if replications < 1:
+            raise ValueError("replications must be >= 1")
+        for index, m in enumerate(_chunk_sizes(params, replications)):
+            jobs.append((fn, params, m, seed, index))
+            owners.append(owner)
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        # imported here, so that importing the package leaves multiprocessing out
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            done = list(pool.map(_run_chunk, jobs))
+    else:
+        done = [_run_chunk(job) for job in jobs]
+    results: list[list[Any]] = [[] for _ in requests]
+    for owner, (_, result) in zip(owners, done):
+        results[owner].append(result)
+    return results, sum(seconds for seconds, _ in done)
+
+
+def _chunk_counter(
+    params: ProcessParams, counts: np.ndarray, hats: np.ndarray
+) -> dict[GapCounts, int]:
+    return empirical_counter(counts, hats)
+
+
+def state_counters(
+    requests: Sequence[tuple[ProcessParams, int, int]],
+) -> list[dict[GapCounts, int]]:
+    """``state_counter`` of each (params, replications, seed) request, all chunks in one map."""
+    per_request, _ = map_chunks(_chunk_counter, requests)
+    merged = []
+    for parts in per_request:
+        acc: Counter[GapCounts] = Counter()
+        for part in parts:
+            acc.update(part)
+        merged.append(dict(acc))
+    return merged
+
+
 def state_counter(
     params: ProcessParams, replications: int, seed: int
 ) -> dict[GapCounts, int]:
     """Empirical distribution of terminal states over many replications."""
-    acc: Counter[GapCounts] = Counter()
-    for counts, hats in iter_state_chunks(params, replications, seed):
-        acc.update(empirical_counter(counts, hats))
-    return dict(acc)
+    return state_counters([(params, replications, seed)])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # simulate_batch checks the sums
@@ -305,8 +388,11 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
     depends on the thread count.  The power means, moments about the
     shift, go through ``moments._recenter`` once, and moment p is then
     scaled by n**(-p/2).  Raises OverflowError when the power sums or
-    standardized moments leave double range.
+    standardized moments leave double range, and ValueError when
+    ``threads`` lies outside 1..MAX_THREADS.
     """
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
     params = config.params
     n, k = params.n, params.k
     c = config.projection_vector()

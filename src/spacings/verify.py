@@ -46,7 +46,7 @@ def _timed(
     body: Callable[[], tuple[bool, str]],
     stages: dict[str, float] | None = None,
 ) -> CheckResult:
-    """Run ``body`` against its budget; ``stages`` is filled by the body's laps."""
+    """Run ``body`` against its budget; ``stages`` is filled in by the body."""
     start = time.perf_counter()
     ok, measured = body()
     elapsed = time.perf_counter() - start
@@ -54,19 +54,6 @@ def _timed(
         ok = False
         measured += f" (overran budget {budget_s:g}s)"
     return CheckResult(name, bool(ok), measured, budget_s, elapsed, dict(stages or {}))
-
-
-def _lap_timer(stages: dict[str, float]) -> Callable[[str], None]:
-    """``lap(name)`` adds the time since the previous lap (or creation) to ``stages[name]``."""
-    last = time.perf_counter()
-
-    def lap(name: str) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        stages[name] = stages.get(name, 0.0) + now - last
-        last = now
-
-    return lap
 
 
 def closed_form_mean_gf_k2(z: float) -> float:
@@ -135,19 +122,19 @@ def check_simulator_against_exact(replications: int = 1_000_000) -> CheckResult:
     stages: dict[str, float] = {}
 
     def body() -> tuple[bool, str]:
-        lap = _lap_timer(stages)
+        start = time.perf_counter()
+        shapes = [ProcessParams(n, k) for n, k in ((10, 2), (10, 3), (12, 4))]
+        counters = simulate.state_counters([(p, replications, VERIFY_SEED) for p in shapes])
+        stages["sample_s"] = time.perf_counter() - start
         msgs = []
         ok = True
-        for n, k in ((10, 2), (10, 3), (12, 4)):
-            params = ProcessParams(n, k)
-            counter = simulate.state_counter(params, replications, VERIFY_SEED)
-            lap("sample_s")
+        for params, counter in zip(shapes, counters):
             pmf = exact.pmf_split(params)
             tv = exact.total_variation_empirical(pmf, counter)
             _, dof, p = exact.chi_square_gof(pmf, counter)
-            lap("law_s")
             ok &= tv < tv_tol and p > 1e-3
-            msgs.append(f"(n={n},k={k}) tv={tv:.2e} p={p:.3f} dof={dof}")
+            msgs.append(f"(n={params.n},k={params.k}) tv={tv:.2e} p={p:.3f} dof={dof}")
+        stages["law_s"] = time.perf_counter() - start - stages["sample_s"]
         return ok, "; ".join(msgs) + f" (tv tol {tv_tol:g}, p > 1e-3)"
 
     return _timed(f"04 simulator matches exact law ({replications:,} reps)", 60.0, body, stages)
@@ -262,28 +249,49 @@ def check_drift_bound_tail() -> CheckResult:
     return _timed("11 split-identity drift stays bounded (k=2,3, n<=1000)", 30.0, body)
 
 
+def _validate_chunk(
+    params: ProcessParams, counts: np.ndarray, hats: np.ndarray
+) -> tuple[int | str, float, float]:
+    """Check 12 on one chunk: (rows validated or the first failure, batch seconds, scalar seconds)."""
+    start = time.perf_counter()
+    ok = validate_counts_batch(params, counts, hats).all()
+    batch_s = time.perf_counter() - start
+    if not ok:
+        return f"batch validation failed at {params}", batch_s, 0.0
+    for row, h in zip(counts.tolist(), hats.tolist()):
+        if not validate_counts(params, GapCounts(tuple(row), h)):
+            failure = f"state {row}, hats={h} invalid for {params}"
+            return failure, batch_s, time.perf_counter() - start - batch_s
+    return counts.shape[0], batch_s, time.perf_counter() - start - batch_s
+
+
 def check_conservation_at_scale(total: int = 10_000_000) -> CheckResult:
     stages: dict[str, float] = {}
 
     def body() -> tuple[bool, str]:
-        lap = _lap_timer(stages)
         plan = [
-            (ProcessParams(10, 2), total * 4 // 10),
-            (ProcessParams(10, 3), total * 3 // 10),
-            (ProcessParams(12, 4), total - total * 4 // 10 - total * 3 // 10),
+            (ProcessParams(10, 2), total * 4 // 10, VERIFY_SEED + 1),
+            (ProcessParams(10, 3), total * 3 // 10, VERIFY_SEED + 1),
+            (ProcessParams(12, 4), total - total * 4 // 10 - total * 3 // 10, VERIFY_SEED + 1),
         ]
+        start = time.perf_counter()
+        per_request, sample_s = simulate.map_chunks(_validate_chunk, plan)
+        wall = time.perf_counter() - start
+        outcomes = [o for chunks in per_request for o in chunks]
+        seconds = {
+            "sample_s": sample_s,
+            "batch_s": sum(o[1] for o in outcomes),
+            "scalar_s": sum(o[2] for o in outcomes),
+        }
+        # the chunks may have run side by side: split the map's wall time
+        # across the stages in proportion to the seconds each one took
+        busy = sum(seconds.values())
+        stages.update({name: wall * s / busy if busy else 0.0 for name, s in seconds.items()})
         checked = 0
-        for params, m in plan:
-            for counts, hats in simulate.iter_state_chunks(params, m, VERIFY_SEED + 1):
-                lap("sample_s")
-                if not validate_counts_batch(params, counts, hats).all():
-                    return False, f"batch validation failed at {params}"
-                lap("batch_s")
-                for row, h in zip(counts.tolist(), hats.tolist()):
-                    if not validate_counts(params, GapCounts(tuple(row), h)):
-                        return False, f"state {row}, hats={h} invalid for {params}"
-                lap("scalar_s")
-                checked += counts.shape[0]
+        for rows, _, _ in outcomes:
+            if isinstance(rows, str):
+                return False, rows
+            checked += rows
         return checked >= total, f"{checked:,} states validated"
 
     return _timed("12 every simulated state passes validation", None, body, stages)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spacings import cli
 from spacings.asymptotics import MAX_RULE_NODES
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
+from spacings.simulate import MAX_THREADS
 from spacings.cli import main, render
 
 
@@ -186,6 +187,14 @@ def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
+def test_simulate_threads_out_of_range_exit_2(capsys, threads):
+    code = main(["simulate", "--n", "10", "--k", "2", "--replications", "10", "--threads", str(threads)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"threads must lie in 1..{MAX_THREADS}, got {threads}" in captured.err
 
 
 def _stdlib_json(obj) -> str:

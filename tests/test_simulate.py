@@ -1,7 +1,14 @@
 """Monte Carlo engine: decode exactness, determinism, agreement with the law."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import spacings
+from spacings import simulate
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
 from spacings.moments import MAX_ORDER, mean_recursion_exact
@@ -22,6 +31,7 @@ from spacings.simulate import (
     _simulate_chunk,
     chunk_size,
     iter_state_chunks,
+    map_chunks,
     sample_gap,
     sample_states,
     simulate_batch,
@@ -337,3 +347,75 @@ def test_batch_reduction_agrees_with_per_chunk_comb_at_high_order(
         np.abs(got.std_moment_se**2 - want["std_moment_se"] ** 2)
         <= 1e-12 * var_terms / replications * scale ** (2 * p)
     )
+
+
+def _where(params, counts, hats):
+    """A reducer that says where its chunk ran and fingerprints the chunk's stream."""
+    return os.getpid(), counts.shape[0], int(hats @ np.arange(hats.size))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    requests = [(ProcessParams(10, 2), chunk_size(10, 2) + 5, 1), (ProcessParams(400, 3), 7, 2)]
+    results, sample_s = map_chunks(_where, requests)
+    assert [[chunk[1:] for chunk in part] for part in results] == [
+        [(counts.shape[0], int(hats @ np.arange(hats.size)))
+         for counts, hats in iter_state_chunks(*request)]
+        for request in requests
+    ]
+    assert sample_s > 0
+    pids = {chunk[0] for part in results for chunk in part}
+    if cpus == 1 or not hasattr(os, "fork"):
+        assert pools == [] and pids == {os.getpid()}
+    else:
+        # three chunks: never more workers than CPUs or chunks
+        assert pools == [min(cpus, 3)]
+        assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
+
+
+def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        results, _ = map_chunks(_where, [(ProcessParams(10, 2), chunk_size(10, 2) + 5, 1)])
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert {chunk[0] for chunk in results[0]} == {os.getpid()}
+
+
+@pytest.mark.parametrize("n, k", [(10, 2), (12, 4), (400, 3)])
+def test_state_counter_is_the_serial_counter_at_any_worker_count(n, k, monkeypatch):
+    params = ProcessParams(n, k)
+    replications = 2 * chunk_size(n, k) + 137
+    serial: Counter[GapCounts] = Counter()
+    for counts, hats in iter_state_chunks(params, replications, 11):
+        serial.update(GapCounts(tuple(r), h) for r, h in zip(counts.tolist(), hats.tolist()))
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        assert state_counter(params, replications, 11) == dict(serial)
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    code = (
+        "import sys\n"
+        "import spacings.cli\n"
+        "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(spacings.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,0 +1,56 @@
+"""Verification checks 04 and 12: the same verdicts at any worker count, and check 12 can fail."""
+from __future__ import annotations
+
+import pytest
+
+from spacings import simulate, verify
+from spacings.model import ProcessParams, validate_counts
+
+
+@pytest.mark.parametrize(
+    "check, size",
+    [(verify.check_simulator_against_exact, 100_000), (verify.check_conservation_at_scale, 200_000)],
+)
+def test_sampling_checks_do_not_depend_on_the_worker_count(check, size, monkeypatch):
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        results.append(check(size))
+    assert all(r.passed for r in results)
+    assert len({r.measured for r in results}) == 1
+    for r in results:
+        assert sum(r.stages.values()) <= r.elapsed_s
+
+
+def _first_failure(plan, reject) -> str:
+    """Check 12's failure message, found by walking the chunks one after another."""
+    for params, m, seed in plan:
+        for counts, hats in simulate.iter_state_chunks(params, m, seed):
+            for row, h in zip(counts.tolist(), hats.tolist()):
+                if reject(params, h):
+                    return f"state {row}, hats={h} invalid for {params}"
+    raise AssertionError("no rejected state was sampled")
+
+
+def test_check_12_reports_the_first_invalid_row_in_chunk_order(monkeypatch):
+    # states of the first shape and of the last are rejected, so a report
+    # taken from any chunk but the first failing one names the wrong shape
+    def reject(params, hats):
+        return (params.n, params.k, hats) in {(10, 2, 3), (12, 4, 2)}
+
+    def validator(params, state):
+        return not reject(params, state.hats) and validate_counts(params, state)
+
+    total = 200_000
+    plan = [
+        (ProcessParams(10, 2), total * 4 // 10, verify.VERIFY_SEED + 1),
+        (ProcessParams(10, 3), total * 3 // 10, verify.VERIFY_SEED + 1),
+        (ProcessParams(12, 4), total * 3 // 10, verify.VERIFY_SEED + 1),
+    ]
+    want = _first_failure(plan, reject)
+    monkeypatch.setattr(verify, "validate_counts", validator)
+    for cpus in (2, 1):  # the worker pool, then in-process
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        result = verify.check_conservation_at_scale(total)
+        assert not result.passed
+        assert result.measured == want
