@@ -107,8 +107,6 @@ def _constants_rows(blocks: list[dict]) -> list[list]:
     for block in blocks:
         k = block["k"]
         for route in ("quadrature", "extrapolation"):
-            if route not in block:
-                continue
             c = block[route]
             for i, v in enumerate(c["rates"], start=1):
                 rows.append([k, "rate", route, i, "", repr(v)])
@@ -239,9 +237,6 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--projection", help="comma-separated weights, length k-1")
     sim.add_argument("--order", type=int, default=8, help="highest standardized moment")
-    sim.add_argument(
-        "--threads", type=int, default=min(os.cpu_count() or 1, simulate.MAX_THREADS)
-    )
     _add_common(sim)
 
     ex = sub.add_parser("exact", help="exact terminal-state distribution")
@@ -318,7 +313,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         projection=_parse_projection(args.projection),
         moment_order=args.order,
     )
-    stats = simulate.simulate_batch(config, threads=args.threads)
+    stats = simulate.simulate_batch(config)
     payload = stats.to_obj()
     env = build_envelope(
         "simulate",
@@ -329,7 +324,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "projection": payload["projection"],
             "order": args.order,
-            "threads": args.threads,
         },
         payload,
         {"rng": stats.rng_id},

@@ -14,7 +14,7 @@ Reproducibility contract: replications are processed in fixed-size chunks;
 chunk c draws from PCG64 seeded with SeedSequence(entropy=seed,
 spawn_key=(c,)).  The chunk size is a deterministic function of (n, k), so
 a given (params, replications, seed) triple yields bit-identical output on
-a given numpy version, independent of thread count; partial results merge
+a given numpy version, independent of the worker count; partial results merge
 by summation in chunk order.  Because a chunk is sampled from its own stream
 wherever it runs, ``map_chunks`` may hand chunks to forked worker
 processes without changing a single draw.
@@ -50,7 +50,6 @@ __all__ = [
     "state_counters",
     "map_chunks",
     "chunk_size",
-    "MAX_THREADS",
 ]
 
 _CHUNK_ELEMENT_BUDGET = 1 << 22
@@ -58,14 +57,12 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 _TALLY_BATCH = 1 << 18
 # rows whose moment powers are held at once: 4096 * (2*order+1) floats
 _POWER_ROWS = 4096
-# simulate_batch's thread count: each thread is an OS thread
-MAX_THREADS = 256
 
 
 def chunk_size(n: int, k: int) -> int:
     """Replications per chunk; fixed by (n, k) so stream layout never varies."""
     blocks = max(1, n // k)  # bounds the runs one split round holds per replication
-    return max(256, min(1 << 16, _CHUNK_ELEMENT_BUDGET // blocks))
+    return max(1, min(1 << 16, _CHUNK_ELEMENT_BUDGET // blocks))
 
 
 @dataclass(frozen=True)
@@ -377,7 +374,7 @@ class SampleStats:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite moments raise below
-def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
+def simulate_batch(config: SimConfig) -> SampleStats:
     """Run the full batch and reduce to :class:`SampleStats`.
 
     Chunks follow ``_chunk_sizes``.  The projection shift (used to keep
@@ -385,14 +382,17 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
     which makes it a deterministic function of (params, seed).  Each chunk
     gives its ``_chunk_sums`` against that shift; the int64 sums merge
     exactly and the power sums by one ``math.fsum`` per power, so neither
-    depends on the thread count.  The power means, moments about the
+    depends on the worker count.  The power means, moments about the
     shift, go through ``moments._recenter`` once, and moment p is then
     scaled by n**(-p/2).  Raises OverflowError when the power sums or
-    standardized moments leave double range, and ValueError when
-    ``threads`` lies outside 1..MAX_THREADS.
+    standardized moments leave double range.
+
+    The chunks run on ``min(_cpu_count(), chunks)`` threads, one after
+    another here when that count is 1.  They are threads where
+    ``map_chunks`` forks processes because this reducer spends its time in
+    numpy calls that release the GIL (sampling, the powers, the Gram
+    matrix), and a thread hands back its sums without pickling them.
     """
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
     params = config.params
     n, k = params.n, params.k
     c = config.projection_vector()
@@ -410,8 +410,9 @@ def simulate_batch(config: SimConfig, threads: int = 1) -> SampleStats:
         return _chunk_sums(counts, c, shift, order)
 
     indices = range(len(sizes))
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(_cpu_count(), len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, indices))
     else:
         parts = [work(i) for i in indices]

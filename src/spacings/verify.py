@@ -100,7 +100,6 @@ def check_cov_rate_k2() -> CheckResult:
 
 def check_split_vs_direct() -> CheckResult:
     def body() -> tuple[bool, str]:
-        worst = "all equal"
         for k in (2, 3, 4):
             for n in range(0, 13):
                 params = ProcessParams(n, k)
@@ -110,7 +109,7 @@ def check_split_vs_direct() -> CheckResult:
                     return False, f"mismatch at n={n}, k={k}"
                 if a.total() != 1:
                     return False, f"mass {a.total()} != 1 at n={n}, k={k}"
-        return True, worst
+        return True, "all equal"
 
     return _timed("03 exact pmf: split route == direct route (n<=12, k=2,3,4)", 30.0, body)
 

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spacings import cli
+from spacings import cli, simulate
 from spacings.asymptotics import MAX_RULE_NODES
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
-from spacings.simulate import MAX_THREADS
 from spacings.cli import main, render
 
 
@@ -64,16 +63,21 @@ def test_exact_csv_schema(capsys):
 
 def test_simulate_deterministic_output(capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    argv = ("simulate", "--n", "8", "--k", "2", "--replications", "2000", "--seed", "7")
-    _, first = run(capsys, *argv, "--threads", "1")
-    _, again = run(capsys, *argv, "--threads", "1")
+    replications = 2 * simulate.chunk_size(8, 2) + 5  # three chunks
+    argv = ("simulate", "--n", "8", "--k", "2", "--replications", str(replications), "--seed", "7")
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    _, first = run(capsys, *argv)
+    _, again = run(capsys, *argv)
     assert first == again  # byte-identical rerun
-    _, fanned = run(capsys, *argv, "--threads", "3")
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+    _, fanned = run(capsys, *argv)
+    # the whole envelope, config included, is the same on any machine
+    assert fanned == first
     env = json.loads(first)
     assert env["timestamp"].startswith("2023-11-14")
-    assert env["payload"]["replications"] == 2000
-    # statistics never depend on the thread count, only the config echo does
-    assert json.loads(fanned)["payload"] == env["payload"]
+    assert env["config"] == {
+        "n": 8, "k": 2, "replications": replications, "seed": 7, "projection": [1.0], "order": 8
+    }
 
 
 def test_moments_mean_table(capsys):
@@ -142,7 +146,7 @@ def test_resource_errors_exit_2(capsys):
     code, _ = run(capsys, "moments", "--k", "1", "--n-max", "10")
     assert code == 2
     argv = ("--n", "400", "--k", "2", "--order", "200", "--replications", "2000")
-    code, out = run(capsys, "simulate", *argv, "--threads", "1")
+    code, out = run(capsys, "simulate", *argv)
     assert code == 2 and out == ""
 
 
@@ -187,14 +191,6 @@ def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
-
-
-@pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
-def test_simulate_threads_out_of_range_exit_2(capsys, threads):
-    code = main(["simulate", "--n", "10", "--k", "2", "--replications", "10", "--threads", str(threads)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert f"threads must lie in 1..{MAX_THREADS}, got {threads}" in captured.err
 
 
 def _stdlib_json(obj) -> str:
@@ -244,7 +240,7 @@ def test_json_render_matches_stdlib_non_str_keys():
         ("moments", "--k", "3", "--n-max", "40", "--tables", "mean,cov,projected"),
         ("asympt", "--k", "3", "--n-max", "120"),
         ("report", "--k-max", "3", "--n-max", "120"),
-        ("simulate", "--n", "12", "--k", "3", "--replications", "500", "--threads", "1"),
+        ("simulate", "--n", "12", "--k", "3", "--replications", "500"),
         ("verify", "--quick"),
     ],
     ids=lambda argv: argv[0],

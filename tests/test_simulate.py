@@ -22,6 +22,7 @@ from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
 from spacings.moments import MAX_ORDER, mean_recursion_exact
 from spacings.simulate import (
+    _CHUNK_ELEMENT_BUDGET,
     _POWER_ROWS,
     GapPool,
     SimConfig,
@@ -56,7 +57,10 @@ class ScriptedRNG:
 def test_chunk_size_bounds_and_determinism():
     assert chunk_size(10, 2) == chunk_size(10, 2)
     assert 256 <= chunk_size(10, 2) <= 1 << 16
-    assert 256 <= chunk_size(10**6, 2) <= 1 << 16
+    # one chunk's split rounds stay within the element budget up to n//k = budget
+    for blocks in (16384, 16385, 10**6 // 2, _CHUNK_ELEMENT_BUDGET):
+        assert 1 <= chunk_size(2 * blocks, 2) <= 1 << 16
+        assert chunk_size(2 * blocks, 2) * blocks <= _CHUNK_ELEMENT_BUDGET
     # more blocks per replication means smaller chunks
     assert chunk_size(10**6, 2) <= chunk_size(100, 2)
 
@@ -165,10 +169,12 @@ def test_batch_is_deterministic():
     assert a.shift == b.shift
 
 
-def test_thread_count_never_changes_results():
+def test_thread_count_never_changes_results(monkeypatch):
     cfg = SimConfig(ProcessParams(24, 2), 200_000, seed=5)
-    solo = simulate_batch(cfg, threads=1)
-    fanned = simulate_batch(cfg, threads=4)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    solo = simulate_batch(cfg)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+    fanned = simulate_batch(cfg)
     assert np.array_equal(solo.mean, fanned.mean)
     assert np.array_equal(solo.cov, fanned.cov)
     assert np.array_equal(solo.std_moments, fanned.std_moments)
@@ -308,14 +314,17 @@ def _batch_and_reference(n, k, projection, replications, order):
     [(*shape, order) for shape in REDUCTION_SHAPES for order in (2, 6, 10, 33)]
     + [(*THREE_CHUNKS, order) for order in (6, 33)],
 )
-def test_batch_reduction_is_bit_identical_to_per_chunk_comb(n, k, projection, replications, order):
+def test_batch_reduction_is_bit_identical_to_per_chunk_comb(
+    n, k, projection, replications, order, monkeypatch
+):
     cfg, want = _batch_and_reference(n, k, projection, replications, order)
-    for threads in (1, 3):
-        got = simulate_batch(cfg, threads=threads)
+    for cpus in (1, 3):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        got = simulate_batch(cfg)
         for field in ("replications", "mean", "mean_se", "cov", "std_moments",
                       "std_moment_se", "shift"):
             a, b = np.asarray(getattr(got, field)), np.asarray(want[field])
-            assert a.dtype == b.dtype and np.array_equal(a, b), (field, threads)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (field, cpus)
 
 
 @pytest.mark.parametrize("order", [60, 100, 200])
@@ -382,6 +391,23 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
         assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
     with pytest.raises(ValueError, match="replications must be >= 1"):
         map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("replications, chunks", [(10, 1), (2 * chunk_size(10, 2) + 5, 3)])
+def test_simulate_batch_runs_on_one_thread_per_cpu_and_chunk(cpus, replications, chunks, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    simulate_batch(SimConfig(ProcessParams(10, 2), replications, seed=1))
+    workers = min(cpus, chunks)
+    assert pools == ([workers] if workers > 1 else [])
 
 
 def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
