@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -85,7 +86,7 @@ def _moments_rows(payload: dict) -> list[list]:
 def entry_rows(entry: dict) -> list[list]:
     rows = []
     table = entry["table"]
-    arr = entry["values"]
+    arr = np.asarray(entry["values"]).tolist()  # numpy 2 scalars repr as np.float64(...)
     if table in ("mean", "mean_rate"):
         for n, row in enumerate(arr):
             for i, v in enumerate(row, start=1):
@@ -108,9 +109,9 @@ def _constants_rows(blocks: list[dict]) -> list[list]:
         k = block["k"]
         for route in ("quadrature", "extrapolation"):
             c = block[route]
-            for i, v in enumerate(c["rates"], start=1):
+            for i, v in enumerate(np.asarray(c["rates"]).tolist(), start=1):
                 rows.append([k, "rate", route, i, "", repr(v)])
-            for i, row in enumerate(c["cov_rates"], start=1):
+            for i, row in enumerate(np.asarray(c["cov_rates"]).tolist(), start=1):
                 for j, v in enumerate(row, start=1):
                     rows.append([k, "cov_rate", route, i, j, repr(v)])
             rows.append([k, "vacancy_rate", route, "", "", repr(c["vacancy_rate"])])
@@ -139,8 +140,9 @@ def _json_pieces(obj: Any, indent: str, out: list[str]) -> None:
 
     ``indent`` is the indentation of the line ``obj`` starts on.  Scalars
     and keys go through ``json.dumps`` itself, so escaping, NaN/Infinity
-    and big ints read exactly as the standard encoder writes them; a list
-    of finite floats is written in one join.
+    and big ints read exactly as the standard encoder writes them.  A list
+    of finite floats, or a float array with finite entries, is written in
+    one join; any other array is written as its ``tolist()``.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -154,34 +156,63 @@ def _json_pieces(obj: Any, indent: str, out: list[str]) -> None:
             _json_pieces(value, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
+    elif isinstance(obj, np.ndarray):
+        text = None
+        if obj.ndim and obj.size and obj.dtype.kind == "f":
+            text = _float_join(obj.ravel().tolist(), obj.shape, indent)
+        if text is not None:
+            out.append(text)
+        else:
+            _json_pieces(obj.tolist(), indent, out)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        text = _float_join(obj, (len(obj),), indent)
+        if text is not None:
+            out.append(text)
+            return
         inner = indent + "  "
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        text = _float_row(obj, sep)
-        if text is not None:
-            out.append(text)
-        else:
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(sep)
-                _json_pieces(item, inner, out)
+        for i, item in enumerate(obj):
+            if i:
+                out.append(sep)
+            _json_pieces(item, inner, out)
         out.append("\n" + indent + "]")
     else:
         out.append(json.dumps(obj))
 
 
-def _float_row(row: list | tuple, sep: str) -> str | None:
-    """The items of ``row`` joined by ``sep`` if all are finite floats, else None."""
-    if not isinstance(row[0], float):
+def _float_join(values: Sequence, shape: tuple[int, ...], indent: str) -> str | None:
+    """The JSON text of ``values`` nested in ``shape`` if all are finite floats, else None.
+
+    ``values`` lists the entries in row-major order, and no axis of
+    ``shape`` is empty.  The text is what ``json.dumps(..., indent=2)``
+    writes for the nested lists on a line indented by ``indent``.  One join
+    interleaves the float reprs with separators built once from the shape:
+    a comma, a newline and the indent inside a row, and the runs of ``]``
+    and ``[`` where axes wrap.
+    """
+    if not isinstance(values[0], float):
         return None
     try:
-        text = sep.join(map(float.__repr__, row))
+        texts = list(map(float.__repr__, values))
     except TypeError:  # an item that is not a float
         return None
+    pad = [indent + "  " * level for level in range(len(shape) + 1)]
+    opens = ["[\n" + pad[level + 1] for level in range(len(shape))]
+    closes = ["\n" + pad[level] + "]" for level in range(len(shape))]
+    seps: list[str] = []  # what follows each entry of one block of the inner axes, bar the last
+    for axis in reversed(range(len(shape))):
+        wrap = "".join(closes[:axis:-1]) + ",\n" + pad[axis + 1] + "".join(opens[axis + 1 :])
+        seps = (seps + [wrap]) * (shape[axis] - 1) + seps
+    pieces = [""] * (2 * len(texts) + 1)
+    pieces[0] = "".join(opens)
+    pieces[1::2] = texts
+    pieces[2:-1:2] = seps
+    pieces[-1] = "".join(reversed(closes))
+    text = "".join(pieces)
     # only nan and inf put an "n" in a float repr; JSON spells them NaN/Infinity
     return None if "n" in text else text
 
@@ -278,14 +309,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_projection(text: str | None) -> tuple[float, ...] | None:
-    """Comma-separated weights; their length is checked where they are used."""
-    return None if text is None else tuple(float(v) for v in text.split(","))
+    """Comma-separated finite weights; their length is checked where they are used."""
+    if text is None:
+        return None
+    weights = tuple(float(v) for v in text.split(","))
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"--projection weights must be finite, got {text}")
+    return weights
 
 
 def _constants_obj(c: asy.AsymptoticConstants) -> dict:
     return {
-        "rates": c.rates.tolist(),
-        "cov_rates": c.cov_rates.tolist(),
+        "rates": c.rates,
+        "cov_rates": c.cov_rates,
         "vacancy_rate": c.vacancy_rate,
         "identity_gap": c.identity_gap(),
         "diagnostics": c.diagnostics,
@@ -372,15 +408,15 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     tables = []
     mean_table = moments.mean_recursion(k, n_max)
     if "mean" in wanted:
-        tables.append({"table": "mean", "values": mean_table.values.tolist()})
+        tables.append({"table": "mean", "values": mean_table.values})
     if "cov" in wanted:
         cross = moments.cross_moment_recursion(k, n_max, mean_table)
-        tables.append({"table": "cov", "values": cross.cov.tolist()})
+        tables.append({"table": "cov", "values": cross.cov})
     if "projected" in wanted:
         proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
         pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
-        tables.append({"table": "raw", "values": pt.raw.tolist()})
-        tables.append({"table": "standardized", "values": pt.standardized.tolist()})
+        tables.append({"table": "raw", "values": pt.raw})
+        tables.append({"table": "standardized", "values": pt.standardized})
     env = build_envelope(
         "moments",
         {

@@ -361,7 +361,7 @@ class SampleStats:
             "k": p.k,
             "replications": self.replications,
             "seed": self.config.seed,
-            "projection": list(self.config.projection_vector()),
+            "projection": self.config.projection_vector().tolist(),
             "moment_order": self.config.moment_order,
             "mean": self.mean.tolist(),
             "mean_se": self.mean_se.tolist(),

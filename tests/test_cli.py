@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spacings import cli, simulate
 from spacings.asymptotics import MAX_RULE_NODES
@@ -161,6 +162,22 @@ def test_bad_projection_is_a_usage_error(capsys):
         assert "projection must have length 1" in captured.err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--k", "2", "--n-max", "6", "--tables", "projected", "--order", "2"),
+        ("simulate", "--n", "10", "--k", "2", "--replications", "100", "--order", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_projection_is_a_usage_error(capsys, argv, weight):
+    code = main([*argv, f"--projection={weight}"])  # "=": -inf is not an option
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--projection weights must be finite" in captured.err
+
+
 def test_rule_node_count_over_max_exits_2(capsys):
     code = main(["asympt", "--k", "2", "--nodes", str(MAX_RULE_NODES + 1)])
     captured = capsys.readouterr()
@@ -194,7 +211,8 @@ def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
 
 
 def _stdlib_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # arrays are encoded as their nested lists, which is what render promises
+    return json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 _TRICKY_TEXT = st.text(alphabet='"\\,\n\t:{}[] a\u00e9\u2603\U0001f600\x00')
@@ -211,9 +229,18 @@ _SCALARS = st.one_of(
 )
 # lists of floats take the one-join path; ints and np.float64 items mix in
 _ROWS = st.lists(_FLOATS | _FLOATS.map(np.float64) | st.integers(), max_size=6)
+# float arrays take the one-join path; ints, non-finite entries, 0-d and
+# zero-size arrays go through tolist()
+_ARRAYS = st.sampled_from(["float64", "float32", "float16", "int64"]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.integers(-(2**40), 2**40) if dtype == "int64" else _FLOATS,
+    )
+)
 _KEYS = st.text(max_size=4) | _TRICKY_TEXT
 _TREES = st.recursive(
-    _SCALARS | _ROWS,
+    _SCALARS | _ROWS | _ARRAYS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -223,6 +250,8 @@ _TREES = st.recursive(
 )
 
 
+# hypothesis casts float64 draws into float16/float32 arrays; overflow to inf is wanted
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @given(st.dictionaries(_KEYS, _TREES, max_size=6))
 def test_json_render_matches_stdlib_bytes(env):
     assert render(env, "json") == _stdlib_json(env)
@@ -256,3 +285,41 @@ def test_json_render_matches_stdlib_on_real_envelopes(argv, monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "render", checked)
     main([*argv, "--out", str(tmp_path / "env.json")])
     assert seen == [True]
+
+
+def _as_lists(obj, arrays: list):
+    """``obj`` with each ndarray replaced by its ``tolist()``; the arrays go to ``arrays``."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value, arrays) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_as_lists(item, arrays) for item in obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--k", "3", "--n-max", "60", "--tables", "mean,cov,projected",
+         "--projection", "1,-0.5"),
+        ("report", "--k-max", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_payload_arrays_render_as_their_lists(argv, monkeypatch, tmp_path):
+    envelopes = []
+
+    def kept(envelope, fmt):
+        envelopes.append(envelope)
+        return render(envelope, fmt)
+
+    monkeypatch.setattr(cli, "render", kept)
+    assert main([*argv, "--out", str(tmp_path / "env.json")]) == 0
+    [envelope] = envelopes
+    arrays: list = []
+    lists = _as_lists(envelope, arrays)
+    assert arrays  # the tables travel as arrays
+    for fmt in ("json", "csv"):
+        assert render(envelope, fmt) == render(lists, fmt)

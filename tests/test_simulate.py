@@ -268,6 +268,13 @@ def test_stats_serialize_to_json():
     assert "PCG64" in back["rng"]
 
 
+@pytest.mark.parametrize("projection", [None, (1.0, 0.5, 2.0)])
+def test_stats_projection_holds_python_floats(projection):
+    cfg = SimConfig(ProcessParams(12, 4), 100, seed=2, projection=projection)
+    items = simulate_batch(cfg).to_obj()["projection"]
+    assert len(items) == 3 and all(type(v) is float for v in items)
+
+
 @pytest.mark.parametrize(
     "n, k, replications",
     [(10, 2, 1), (10, 2, 65_536), (10, 2, 65_537), (9, 3, 3 * 65_536 + 137), (4000, 2, 5000)],
