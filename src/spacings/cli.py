@@ -312,7 +312,10 @@ def _parse_projection(text: str | None) -> tuple[float, ...] | None:
     """Comma-separated finite weights; their length is checked where they are used."""
     if text is None:
         return None
-    weights = tuple(float(v) for v in text.split(","))
+    try:
+        weights = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--projection weights must be numbers, got {text}") from None
     if not all(map(math.isfinite, weights)):
         raise ValueError(f"--projection weights must be finite, got {text}")
     return weights
@@ -406,6 +409,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown tables {sorted(unknown)}")
     k, n_max = args.k, args.n_max
     tables = []
+    diagnostics: dict[str, Any] = {}
     mean_table = moments.mean_recursion(k, n_max)
     if "mean" in wanted:
         tables.append({"table": "mean", "values": mean_table.values})
@@ -414,9 +418,14 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         tables.append({"table": "cov", "values": cross.cov})
     if "projected" in wanted:
         proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
-        pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
+        pt = moments.projected_moment_recursion(proj, k, n_max, args.order, mean_table)
         tables.append({"table": "raw", "values": pt.raw})
         tables.append({"table": "standardized", "values": pt.standardized})
+        diagnostics["projected"] = {
+            "continued_from": pt.continued_from,
+            "shift_rate": pt.shift_rate,
+            "cumulant_rates": pt.cumulant_rates,
+        }
     env = build_envelope(
         "moments",
         {
@@ -427,6 +436,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             "order": args.order,
         },
         {"tables": tables},
+        diagnostics,
     )
     _write(env, args.out, args.format)
     return 0

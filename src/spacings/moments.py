@@ -10,6 +10,10 @@ Expected counts grow linearly; dividing row-n tables by (n+k) and reading
 off the value at large n ("extrapolation") recovers the limiting constants
 to near machine precision because the finite-n correction dies off faster
 than any geometric rate.
+
+The same holds for every cumulant of a projection c . X_n: the projected
+recursion, centred on the asymptote of its mean, fills its later rows from
+cumulant rates once they hold (see :func:`projected_moment_recursion`).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "mean_drift_bound",
     "STABILIZATION_LOOKBACK",
     "STABILIZATION_TOL",
+    "CONTINUATION_TOL",
     "MAX_K",
     "MAX_N_MAX",
     "MAX_ORDER",
@@ -47,8 +52,12 @@ __all__ = [
 
 STABILIZATION_LOOKBACK = 10
 STABILIZATION_TOL = 1e-8
+# largest gap, in units of the standardized law, between the projected
+# recursion's rows and its cumulant rates continued, at which the rates take over
+CONTINUATION_TOL = 1e-12
 # Largest arguments the recursions and quadratures accept, checked before
-# anything is allocated; README "Numerical notes" gives the run times at them.
+# anything is allocated; README "Numerical notes" gives the run times and
+# memory at them.
 MAX_K = 64
 MAX_N_MAX = 50_000
 MAX_ORDER = 1029  # C(1030, 515) lies beyond the double range
@@ -108,13 +117,19 @@ class ProjectedMomentTable:
 
     ``raw[n, m]`` is the m-th raw moment of c . X_n.  ``standardized[n, m]``
     is the m-th moment of the centered sum scaled by n**(-1/2), the scaling
-    under which the fluctuations stabilize.
+    under which the fluctuations stabilize.  ``shift_rate`` is the r of the
+    centring Z_n = c . X_n - r (n+k) the recursion ran on.  Rows past
+    ``continued_from`` (None: no row) follow from the cumulant rates
+    ``cumulant_rates[m]`` = kappa_m(n)/(n+k), m = 1..order (entry 0 is 0).
     """
 
     k: int
     projection: tuple[float, ...]
     raw: np.ndarray
     standardized: np.ndarray
+    continued_from: int | None
+    shift_rate: float
+    cumulant_rates: np.ndarray | None
 
     @property
     def n_max(self) -> int:
@@ -288,65 +303,165 @@ def _recenter(mom: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return central
 
 
-def projected_moment_recursion(
-    projection: Sequence[float], k: int, n_max: int, order: int = 8
-) -> ProjectedMomentTable:
-    """Raw moments of c . X_n up to ``order`` by binomial split averaging.
+def _moments_from_cumulants(kap: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Moments from cumulants, row by row: mom_p = sum_j C(p-1, j-1) kap_j mom_{p-j}.
 
-    raw[n, m] = 1/(n-k+1) * sum_j sum_i C(m, i) raw[j, i] raw[n-k-j, m-i],
-    seeded with the deterministic rows below k.  Standardized moments follow
-    by re-centering at the mean and scaling by n**(-m/2).
+    ``kap[:, 0]`` is ignored; column 1 of the result is ``kap[:, 1]``, so a
+    zero first cumulant gives central moments.
+    """
+    mom = np.empty_like(kap)
+    mom[:, 0] = 1.0
+    for p in range(1, kap.shape[1]):
+        mom[:, p] = (kap[:, 1 : p + 1] * mom[:, p - 1 :: -1]) @ binom[p - 1, :p]
+    return mom
+
+
+def _continued_rates(
+    window: np.ndarray, tk: int, binom: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """Rates kappa_m(t)/(t+k) of the moment row ``window[0]``, if they hold.
+
+    ``window`` holds rows t, t+1, ... of one table and tk = t + k.  The
+    rates times s+k give the later rows s by the recurrence of
+    :func:`_moments_from_cumulants`, one order at a time, so that a trial
+    ends (None) at the first order that misses the table by ``tol`` in
+    units of the standardized law, (kappa_2(t) (s+k)/tk)**(m/2).
+    """
+    W = window.shape[1]
+    mom, rows = window[0], window[1:]
+    S = tk + np.arange(1.0, len(window))[:, None]
+    unit = tol * (S * (mom[2] - mom[1] ** 2) / tk) ** (np.arange(W) / 2)
+    rates = np.zeros(W)
+    cont = np.ones_like(rows)
+    for p in range(1, W):
+        # kappa_p = mom_p - sum_{j<p} C(p-1, j-1) kappa_j mom_{p-j}
+        rates[p] = mom[p] / tk - (rates[1:p] * mom[p - 1 : 0 : -1]) @ binom[p - 1, : p - 1]
+        cont[:, p] = (S * rates[1 : p + 1] * cont[:, p - 1 :: -1]) @ binom[p - 1, :p]
+        if not (np.abs(cont[:, p] - rows[:, p]) < unit[:, p]).all():
+            return None
+    return rates
+
+
+def projected_moment_recursion(
+    projection: Sequence[float],
+    k: int,
+    n_max: int,
+    order: int = 8,
+    means: MeanTable | None = None,
+) -> ProjectedMomentTable:
+    """Moments of c . X_n up to ``order`` by binomial split averaging.
+
+    For any constant r, Z_n = c . X_n - r (n+k) splits as c . X_n does,
+    c . X_n = c . X_j + c . X'_{n-k-j}, because (j+k) + (n-k-j+k) = n+k.
+    So the moments of c . X_n (r = 0) and those of Z_n both obey
+
+        T[n, m] = 1/(n-k+1) * sum_j sum_i C(m, i) T[j, i] T[n-k-j, m-i]
+
+    from their deterministic rows n <= k, and one loop runs both.  r is
+    the projected mean rate at n_max, c . ``mean_recursion(k,
+    n_max).rate(n_max)`` (read from ``means`` when that table reaches
+    n_max), so Z_n is centred up to rounding.  ``standardized`` takes the
+    central moments, scaled by n**(-m/2), from Z without cancellation;
+    ``raw`` holds the moments of c . X_n.
+
+    Each cumulant of c . X_n is kappa_m (n+k) plus a remainder that dies
+    faster than geometrically.  So every ``STABILIZATION_LOOKBACK`` rows
+    the cumulants of Z at row t = n - ``STABILIZATION_LOOKBACK`` are
+    continued in proportion to s+k over rows s = t+1..n, and the moments
+    they give are compared with the recursion's, moment m in units of
+    (kappa_2(t) (s+k)/(t+k))**(m/2), the scale of the standardized law.
+    At the first n where all agree within ``CONTINUATION_TOL`` the loop
+    stops: ``continued_from`` is n, ``cumulant_rates`` holds the rates
+    kappa_m(t)/(t+k) of c . X_n, and rows n+1..n_max follow from them.
+    When no n <= n_max qualifies, the recursion runs to n_max and both
+    are None.
 
     Split points j and L-1-j pair the same two rows, so each step sums each
-    pair once: half = raw[:h].T @ reversed(raw[L-h:L]) with h = ceil(L/2),
-    one GEMM in which the centre row of an odd L enters at weight 1/2.  The
-    binomially weighted anti-diagonal sums of half, divided by L/2, give
-    raw[n].  Only the anti-diagonal entries (i, m-i), m <= order, are read.
-    Entries beyond them may overflow; even a zero weight on one
-    (0 * inf = nan) would trip the guard.
+    pair once: half = T[:h].T @ reversed(T[L-h:L]) with h = ceil(L/2),
+    one GEMM over both tables side by side, in which the centre row of an
+    odd L enters at weight 1/2.  The binomially weighted anti-diagonal sums
+    of half, divided by L/2, give T[n].  Only the anti-diagonal entries
+    (i, m-i), m <= order, are read.  Entries beyond them may overflow; even
+    a zero weight on one (0 * inf = nan) would trip the guard.
     """
     _check_kn(k, n_max)
     _check_order(order)
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    M = order
-    binom = np.array(_binomial_rows(M), float)
-    raw = np.zeros((n_max + 1, M + 1))
-    raw[: k + 1, 0] = 1.0
-    with np.errstate(over="ignore"):
-        raw[1:k] = (np.array(c)[:, None] ** np.arange(M + 1))[:n_max]
-    # rev[n_max - n] = raw[n], so rows n-k, ..., 0 are contiguous in rev[n_max-n+k:]
-    rev = raw[::-1].copy()
-    i_idx, l_idx = np.nonzero(np.add.outer(np.arange(M + 1), np.arange(M + 1)) <= M)
-    m_idx = i_idx + l_idx
-    flat = i_idx * (M + 1) + l_idx
-    weight = binom[m_idx, i_idx]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(k + 1, n_max + 1):
-            L = n - k + 1
-            h = (L + 1) // 2
-            start = n_max + 1 - L
-            centre = start + h - 1  # rev[centre] = raw[L - h], raw[h - 1] when L is odd
-            if L % 2:
-                rev[centre] = 0.5 * raw[h - 1]
-            half = raw[:h].T @ rev[start : start + h]
-            if L % 2:
-                rev[centre] = raw[h - 1]
-            pairs = half.ravel()[flat] * weight
-            raw[n] = np.bincount(m_idx, pairs, minlength=M + 1) / (0.5 * L)
-            rev[n_max - n] = raw[n]
+    if means is None or means.n_max < n_max:
+        means = mean_recursion(k, n_max)
+    r = float(np.dot(c, means.rate(n_max)))
+    binom = np.array(_binomial_rows(order), float)
+    table, n0, rates = _split_tables(c, k, n_max, order, r, binom, CONTINUATION_TOL)
+    raw = table[:, : order + 1].copy()
     if not np.isfinite(raw).all():
         raise OverflowError(
             "projected moment recursion left double range; lower order or n_max"
         )
+    central = _recenter(table[1:, order + 1 :], binom)
     std = np.zeros_like(raw)
     std[:, 0] = 1.0
-    central = _recenter(raw[1:], binom)
     scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
-    for m in range(1, M + 1):
+    for m in range(1, order + 1):
         std[1:, m] = central[:, m] * scale**m
-    return ProjectedMomentTable(k, c, raw, std)
+    return ProjectedMomentTable(k, c, raw, std, n0, r, rates)
+
+
+def _split_tables(
+    c: tuple[float, ...], k: int, n_max: int, M: int, r: float, binom: np.ndarray, tol: float
+) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+    """Moments of c . X_n and of Z_n = c . X_n - r (n+k), side by side.
+
+    Returns (table, n0, rates).  ``table[:, :M+1]`` holds the moments of
+    c . X_n and ``table[:, M+1:]`` those of Z_n.  Rows past n0 follow from
+    ``rates``, the cumulant rates of c . X_n; both are None when no trial
+    held within ``tol``, and ``tol = 0`` runs the recursion to n_max.
+    """
+    W = M + 1
+    table = np.zeros((n_max + 1, 2 * W))
+    rows = np.arange(min(k, n_max) + 1)
+    value = np.zeros(len(rows))  # c . X_n on the seed rows: 0 at n = 0 and n = k
+    value[1:k] = c[: len(rows) - 1]
+    with np.errstate(over="ignore"):
+        table[: k + 1, :W] = value[:, None] ** np.arange(W)
+        table[: k + 1, W:] = (value - r * (rows + k))[:, None] ** np.arange(W)
+    if n_max <= k:
+        return table, None, None
+    # rev[n_max - n] = table[n], so rows n-k, ..., 0 are contiguous in rev[n_max-n+k:]
+    rev = table[::-1].copy()
+    # one GEMM pairs the rows of both tables; only its two diagonal blocks are read
+    i_idx, l_idx = np.nonzero(np.add.outer(np.arange(W), np.arange(W)) <= M)
+    flat = np.concatenate([i_idx * 2 * W + l_idx, (i_idx + W) * 2 * W + l_idx + W])
+    m_idx = np.concatenate([i_idx + l_idx, i_idx + l_idx + W])
+    weight = np.tile(binom[i_idx + l_idx, i_idx], 2)
+    lookback = STABILIZATION_LOOKBACK
+    n0 = rates = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(k + 1, n_max + 1):
+            L = n - k + 1
+            h = (L + 1) // 2
+            start = n_max + 1 - L
+            centre = start + h - 1  # rev[centre] = table[L - h], table[h - 1] when L is odd
+            if L % 2:
+                rev[centre] = 0.5 * table[h - 1]
+            half = table[:h].T @ rev[start : start + h]
+            if L % 2:
+                rev[centre] = table[h - 1]
+            table[n] = np.bincount(m_idx, half.ravel()[flat] * weight) / (0.5 * L)
+            rev[n_max - n] = table[n]
+            if not math.isfinite(table[n, M]):
+                break  # the top raw moment left double range; the caller raises
+            if n % lookback or n - lookback <= k:
+                continue  # rows up to k are deterministic: no rates to read
+            rates = _continued_rates(table[n - lookback : n + 1, W:], n - lookback + k, binom, tol)
+            if rates is not None:
+                n0, s = n, np.arange(n + 1, n_max + 1, dtype=float)[:, None] + k
+                table[n + 1 :, W:] = _moments_from_cumulants(rates * s, binom)
+                rates[1] += r  # c . X_n = Z_n + r (n+k)
+                table[n + 1 :, :W] = _moments_from_cumulants(rates * s, binom)
+                break
+    return table, n0, rates
 
 
 def projected_moment_recursion_exact(

@@ -88,6 +88,29 @@ def test_moments_mean_table(capsys):
     assert values[4][0] == pytest.approx(2 / 3, rel=1e-14)
 
 
+def test_moments_projected_table_reports_its_continuation(tmp_path):
+    out = tmp_path / "m.json"
+    argv = ["moments", "--k", "2", "--n-max", "20000", "--tables", "projected", "--out", str(out)]
+    assert main(argv) == 0
+    env = json.loads(out.read_text())
+    raw, std = (entry["values"] for entry in env["payload"]["tables"])
+    # the 8th standardized moment over sigma^8 rises toward the normal 105
+    assert 104.9 < std[20000][8] / std[20000][2] ** 4 < 105
+    projected = env["diagnostics"]["projected"]
+    assert 0 < projected["continued_from"] < 20000
+    rates = projected["cumulant_rates"]
+    assert len(rates) == 9 and rates[0] == 0.0
+    assert rates[1] == pytest.approx(math.exp(-2), rel=1e-12)  # the k=2 spacing rate
+    assert rates[2] == pytest.approx(4 * math.exp(-4), rel=1e-12)  # and its variance rate
+    assert projected["shift_rate"] == pytest.approx(math.exp(-2), rel=1e-12)
+    assert raw[20000][1] == pytest.approx(rates[1] * 20002, rel=1e-12)
+
+
+def test_moments_diagnostics_stay_empty_without_projected(capsys):
+    code, env = run_json(capsys, "moments", "--k", "2", "--n-max", "100", "--tables", "mean,cov")
+    assert code == 0 and env["diagnostics"] == {}
+
+
 def test_moments_rejects_unknown_table(capsys):
     code = main(["moments", "--k", "2", "--n-max", "8", "--tables", "median"])
     captured = capsys.readouterr()
@@ -162,8 +185,7 @@ def test_bad_projection_is_a_usage_error(capsys):
         assert "projection must have length 1" in captured.err
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize(
+PROJECTION_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ("moments", "--k", "2", "--n-max", "6", "--tables", "projected", "--order", "2"),
@@ -171,11 +193,24 @@ def test_bad_projection_is_a_usage_error(capsys):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+@PROJECTION_COMMANDS
 def test_non_finite_projection_is_a_usage_error(capsys, argv, weight):
     code = main([*argv, f"--projection={weight}"])  # "=": -inf is not an option
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--projection weights must be finite" in captured.err
+
+
+@pytest.mark.parametrize("weight", ["abc", "0x1", ""])
+@PROJECTION_COMMANDS
+def test_non_numeric_projection_names_the_option(capsys, argv, weight):
+    code = main([*argv, f"--projection={weight}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--projection weights must be numbers, got {weight}\n" in captured.err
 
 
 def test_rule_node_count_over_max_exits_2(capsys):

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from spacings import moments
 from spacings.moments import (
+    CONTINUATION_TOL,
     MAX_K,
     MAX_N_MAX,
     MAX_ORDER,
@@ -205,6 +207,90 @@ def test_standardized_moments_shape_and_centering():
     # second standardized moment approaches the covariance rate
     cov = cross_moment_recursion(2, 300).cov[300][0][0]
     assert t.standardized[300, 2] == pytest.approx(cov / 300, rel=1e-10)
+
+
+@pytest.mark.parametrize("projection, k", [((1.0,), 2), ((1.0, 0.0), 3), ((1.0, 1.0), 3)])
+def test_standardized_kurtosis_ratio_rises_strictly(projection, k):
+    # the 8th standardized moment over sigma^8 climbs toward the normal 105;
+    # re-centering raw moments made it wander from n of about 1000 on
+    std = projected_moment_recursion(projection, k, 5000).standardized
+    ratio = std[50:, 8] / std[50:, 2] ** 4
+    assert (np.diff(ratio) > 0).all()
+    assert 104.5 < ratio[-1] < 105
+
+
+def _full_recursion(projection, k, n_max, order=8):
+    """Raw and standardized tables of the centred recursion run to n_max, never continued."""
+    c = tuple(projection)
+    r = float(np.dot(c, mean_recursion(k, n_max).rate(n_max)))
+    binom = np.array(_binomial_rows(order), float)
+    table, n0, rates = moments._split_tables(c, k, n_max, order, r, binom, tol=0.0)
+    assert n0 is None and rates is None
+    central = _recenter(table[1:, order + 1 :], binom)
+    std = np.zeros((n_max + 1, order + 1))
+    std[:, 0] = 1.0
+    scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
+    for m in range(1, order + 1):
+        std[1:, m] = central[:, m] * scale**m
+    return table[:, : order + 1], std
+
+
+@pytest.mark.parametrize(
+    "projection, k, n_max",
+    [((1.0,) * (k - 1), k, n) for k, n in zip(range(2, 9), (2000, 1500, 300, 1000, 500, 700, 300))]
+    + [((1.0, -1.0, 2.0), 4, 600)],
+    ids=lambda v: str(v),
+)
+def test_continuation_matches_the_full_recursion(projection, k, n_max):
+    t = projected_moment_recursion(projection, k, n_max)
+    n0 = t.continued_from
+    assert n0 is not None and n0 < n_max
+    raw, std = _full_recursion(projection, k, n_max)
+    # the rows up to the switch are the recursion's own
+    assert np.array_equal(t.raw[: n0 + 1], raw[: n0 + 1])
+    assert np.array_equal(t.standardized[: n0 + 1], std[: n0 + 1])
+    # past it, within the switch constant in units of the standardized law
+    sigma = std[n0 + 1 :, 2:3] ** 0.5
+    gap = np.abs(t.standardized[n0 + 1 :] - std[n0 + 1 :]) / sigma ** np.arange(9)
+    assert gap.max() < CONTINUATION_TOL
+    np.testing.assert_allclose(t.standardized, std, rtol=0, atol=CONTINUATION_TOL)
+    np.testing.assert_allclose(t.raw, raw, rtol=1e-12, atol=0)
+    assert t.cumulant_rates[2] == pytest.approx(std[-1, 2] * n_max / (n_max + k), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+def test_continuation_does_not_depend_on_the_scale_of_c(scale):
+    unit = projected_moment_recursion([1.0, 2.0], 3, 400)
+    scaled = projected_moment_recursion([scale, 2.0 * scale], 3, 400)
+    assert scaled.continued_from == unit.continued_from is not None
+    m = np.arange(9)
+    # rows and orders whose value is 0 hold rounding: an absolute floor in units of c
+    np.testing.assert_allclose(
+        scaled.standardized / scale**m, unit.standardized, rtol=1e-12, atol=1e-13
+    )
+    np.testing.assert_allclose(scaled.raw / scale**m, unit.raw, rtol=1e-12, atol=0)
+
+
+def _rational_cumulants(mom):
+    kap = [Fraction(0)] * len(mom)
+    for p in range(1, len(mom)):
+        kap[p] = mom[p] - sum(math.comb(p - 1, j - 1) * kap[j] * mom[p - j] for j in range(1, p))
+    return kap
+
+
+@pytest.mark.parametrize("projection, k, top, bound", [((1,), 2, 6, 1e-25), ((1, 0), 3, 4, 1e-18)])
+def test_rational_cumulants_are_affine_in_n_plus_k(projection, k, top, bound):
+    # kappa_m(n) = kappa_m (n+k) + a remainder that dies faster than geometrically:
+    # the rate read at n and LOOKBACK rows earlier agree ever more closely
+    raw = projected_moment_recursion_exact(projection, k, 80, order=top)
+
+    def gaps(n):
+        now, before = _rational_cumulants(raw[n]), _rational_cumulants(raw[n - 10])
+        return [abs(now[m] / (n + k) - before[m] / (n - 10 + k)) for m in range(1, top + 1)]
+
+    at_80, at_60 = gaps(80), gaps(60)
+    assert max(at_80) < bound
+    assert all(late < early for late, early in zip(at_80, at_60))
 
 
 def test_projected_rejects_bad_input():
