@@ -164,32 +164,34 @@ class DriftBoundResult:
     per_n: np.ndarray  # per_n[n] = max_j || mean[j] + mean[n-k-j] - mean[n] ||_2
 
 
-def _seed_mean_rows(k: int, n_max: int, out) -> None:
-    # rows n < k are deterministic: a single run of length n
-    for n in range(1, min(k, n_max + 1)):
-        out[n][n - 1] = 1
+def _mean_column(c: list[float], n_max: int) -> list[float]:
+    """E(c . X_n) for n = 0..n_max, by the one-step recursion of :func:`mean_recursion`.
+
+    Rows n < k hold c_n (a single run of length n), rows 0 and k hold 0;
+    the recursion is linear, so later rows are E(c . X_n).  It runs on
+    Python floats: the same IEEE operations in the same order as a numpy
+    step per row, so the same bits, without numpy's per-call cost.
+    """
+    k = len(c) + 1
+    v = [0.0, *c, 0.0]
+    prev = 0.0
+    for L in range(2, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
+        prev = ((L - 1) * prev + 2.0 * v[L - 1]) / L
+        v.append(prev)
+    return v[: n_max + 1]
 
 
 def mean_recursion(k: int, n_max: int) -> MeanTable:
     """Expected counts via the one-step recursion.
 
     (n-k+1) * mean[n] = (n-k) * mean[n-1] + 2 * mean[n-k]   for n > k,
-    with deterministic rows below k and a zero row at n = k.
-
-    Each column runs on Python floats and is written back whole: the same
-    IEEE operations in the same order as a numpy step per row, so the same
-    bits, without numpy's per-call cost on (k-1)-sized rows.
+    with deterministic rows below k and a zero row at n = k.  Column j-1
+    is ``_mean_column`` of the unit vector e_j.
     """
     _check_kn(k, n_max)
-    g = np.zeros((n_max + 1, k - 1))
-    _seed_mean_rows(k, n_max, g)
-    for col in range(k - 1):
-        v = g[: k + 1, col].tolist()
-        prev = v[-1]
-        for L in range(2, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
-            prev = ((L - 1) * prev + 2.0 * v[L - 1]) / L
-            v.append(prev)
-        g[:, col] = v
+    g = np.empty((n_max + 1, k - 1))
+    for col, unit in enumerate(np.eye(k - 1).tolist()):
+        g[:, col] = _mean_column(unit, n_max)
     return MeanTable(k, g)
 
 
@@ -197,7 +199,8 @@ def mean_recursion_exact(k: int, n_max: int) -> list[list[Fraction]]:
     """Rational-arithmetic twin of :func:`mean_recursion` for small n."""
     _check_kn(k, n_max)
     g = [[Fraction(0)] * (k - 1) for _ in range(n_max + 1)]
-    _seed_mean_rows(k, n_max, g)
+    for n in range(1, min(k, n_max + 1)):  # a single run of length n
+        g[n][n - 1] = 1
     for n in range(k + 1, n_max + 1):
         L = n - k + 1
         g[n] = [

@@ -22,12 +22,12 @@ processes without changing a single draw.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from .exact import empirical_counter
 from .model import GapCounts, ProcessParams, validate_counts_batch
-from .moments import MAX_ORDER, _binomial_rows, _recenter
+from .moments import MAX_ORDER, _binomial_rows, _mean_column, _recenter
 
 __all__ = [
     "SimConfig",
@@ -78,6 +78,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the power sums run to twice the order, within MAX_ORDER's binomial rows
         if not 2 <= self.moment_order <= MAX_ORDER // 2:
             raise ValueError(
@@ -258,15 +260,18 @@ def map_chunks(
     more than one CPU and chunk, a platform that can fork and no other
     thread running, the chunks run on ``min(CPUs, chunks)`` forked worker
     processes, in a pool that lasts for this call; ``fn`` must then be a
-    module-level function whose result pickles.  Otherwise they run here,
-    one after another.  Forked workers start at once and see the caller's
-    modules as they are, patched functions included; a child of a process
-    with other threads could inherit a lock that one of them held.
+    module-level function, or a ``functools.partial`` of one, whose result
+    pickles.  Otherwise they run here, one after another.  Forked workers
+    start at once and see the caller's modules as they are, patched
+    functions included; a child of a process with other threads could
+    inherit a lock that one of them held.
     """
     jobs, owners = [], []
     for owner, (params, replications, seed) in enumerate(requests):
         if replications < 1:
             raise ValueError("replications must be >= 1")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         for index, m in enumerate(_chunk_sizes(params, replications)):
             jobs.append((fn, params, m, seed, index))
             owners.append(owner)
@@ -315,7 +320,8 @@ def state_counter(
 
 @np.errstate(over="ignore", invalid="ignore")  # simulate_batch checks the sums
 def _chunk_sums(
-    counts: np.ndarray, c: np.ndarray, shift: float, order: int
+    c: np.ndarray, shift: float, order: int,
+    params: ProcessParams, counts: np.ndarray, hats: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk's order-independent partial sums.
 
@@ -341,7 +347,9 @@ class SampleStats:
 
     ``std_moments[p]`` estimates the p-th moment of the centered projected
     count scaled by n**(-1/2); standard errors are the usual sqrt(var/m)
-    plug-ins (for moments, ignoring the centering noise).
+    plug-ins (for moments, ignoring the centering noise).  ``shift``, the
+    point the power sums were taken about, is round(E(c . X_n)): a function
+    of (params, projection) alone.
     """
 
     config: SimConfig
@@ -377,45 +385,26 @@ class SampleStats:
 def simulate_batch(config: SimConfig) -> SampleStats:
     """Run the full batch and reduce to :class:`SampleStats`.
 
-    Chunks follow ``_chunk_sizes``.  The projection shift (used to keep
-    high powers well-conditioned) is the rounded projected mean of chunk 0,
-    which makes it a deterministic function of (params, seed).  Each chunk
-    gives its ``_chunk_sums`` against that shift; the int64 sums merge
-    exactly and the power sums by one ``math.fsum`` per power, so neither
-    depends on the worker count.  The power means, moments about the
-    shift, go through ``moments._recenter`` once, and moment p is then
-    scaled by n**(-p/2).  Raises OverflowError when the power sums or
-    standardized moments leave double range.
-
-    The chunks run on ``min(_cpu_count(), chunks)`` threads, one after
-    another here when that count is 1.  They are threads where
-    ``map_chunks`` forks processes because this reducer spends its time in
-    numpy calls that release the GIL (sampling, the powers, the Gram
-    matrix), and a thread hands back its sums without pickling them.
+    The chunks go through ``map_chunks``, each reduced by ``_chunk_sums``
+    against one shift, which keeps the high powers well-conditioned: the
+    rounded expected projected count round(E(c . X_n)), from the mean
+    recursion's ``_mean_column`` seeded with c, so a function of (params,
+    projection) alone.  The int64 sums merge exactly and the power sums by
+    one ``math.fsum`` per power, in chunk order, so neither depends on the
+    worker count.  The power means, moments about the shift, go through
+    ``moments._recenter`` once, and moment p is then scaled by n**(-p/2).
+    Raises OverflowError when the power sums or standardized moments leave
+    double range.
     """
     params = config.params
     n, k = params.n, params.k
     c = config.projection_vector()
     order = config.moment_order
-    sizes = list(_chunk_sizes(params, config.replications))
-
-    first_counts, _ = _simulate_chunk(params, sizes[0], _chunk_rng(config.seed, 0))
-    shift = float(np.round((first_counts @ c).mean()))
-
-    def work(idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if idx == 0:
-            counts = first_counts
-        else:
-            counts, _ = _simulate_chunk(params, sizes[idx], _chunk_rng(config.seed, idx))
-        return _chunk_sums(counts, c, shift, order)
-
-    indices = range(len(sizes))
-    workers = min(_cpu_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, indices))
-    else:
-        parts = [work(i) for i in indices]
+    shift = float(np.round(_mean_column(c.tolist(), n)[n]))
+    (parts,), _ = map_chunks(
+        functools.partial(_chunk_sums, c, shift, order),
+        [(params, config.replications, config.seed)],
+    )
 
     m = config.replications
     counts_parts, outer_parts, pow_parts = zip(*parts)

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from spacings.moments import mean_recursion_exact
+
 StateKey = tuple[tuple[int, ...], int]
 
 
@@ -200,8 +202,10 @@ def simulate_chunk_per_round(n: int, k: int, m: int, rng) -> tuple[np.ndarray, n
 def batch_stats_per_chunk_comb(config, chunks) -> dict[str, np.ndarray | float]:
     """Batch statistics reduced as the simulator once reduced them.
 
-    ``chunks`` are the counts arrays of the batch in chunk order.  Each
-    chunk becomes a record of its row count, int64 count sums and Gram
+    ``chunks`` are the counts arrays of the batch in chunk order.  The
+    shift is round(E(c . X_n)) taken from the rational mean
+    ``mean_recursion_exact``, not from the float column the simulator
+    uses.  Each chunk becomes a record of its row count, int64 count sums and Gram
     matrix, and power sums of the projected counts about a shift; records
     merge by ``np.sum`` and one ``math.fsum`` per order, and the power
     means are re-centered with one ``math.comb`` per binomial coefficient.
@@ -212,7 +216,8 @@ def batch_stats_per_chunk_comb(config, chunks) -> dict[str, np.ndarray | float]:
     n = config.params.n
     c = config.projection_vector()
     order = config.moment_order
-    shift = float(np.round((chunks[0] @ c).mean()))
+    exact_mean = mean_recursion_exact(config.params.k, n)[n]
+    shift = float(round(sum(Fraction(cj) * e for cj, e in zip(c.tolist(), exact_mean))))
     parts = []
     for counts in chunks:
         y = counts @ c - shift

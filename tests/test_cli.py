@@ -236,6 +236,7 @@ def test_rule_node_count_over_max_exits_2(capsys):
         (("report", "--k-max", "0"), f"2..{MAX_K}, got 0"),
         (("simulate", "--n", "10", "--k", "2", "--order", str(MAX_ORDER // 2 + 1)),
          f"2..{MAX_ORDER // 2}, got {MAX_ORDER // 2 + 1}"),
+        (("simulate", "--n", "10", "--k", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
     ],
 )
 def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):

@@ -20,7 +20,7 @@ import spacings
 from spacings import simulate
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
-from spacings.moments import MAX_ORDER, mean_recursion_exact
+from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER, _mean_column, mean_recursion_exact
 from spacings.simulate import (
     _CHUNK_ELEMENT_BUDGET,
     _POWER_ROWS,
@@ -169,7 +169,7 @@ def test_batch_is_deterministic():
     assert a.shift == b.shift
 
 
-def test_thread_count_never_changes_results(monkeypatch):
+def test_worker_count_never_changes_results(monkeypatch):
     cfg = SimConfig(ProcessParams(24, 2), 200_000, seed=5)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
     solo = simulate_batch(cfg)
@@ -294,7 +294,7 @@ def test_blocked_power_sums_are_bit_identical_to_one_sum(order):
     c = np.array([1.0, -2.0, 0.5])
     y = counts @ c - 4.0
     want = (y[:, None] ** np.arange(2 * order + 1)).sum(axis=0)
-    assert _chunk_sums(counts, c, 4.0, order)[2].tobytes() == want.tobytes()
+    assert _chunk_sums(c, 4.0, order, None, counts, None)[2].tobytes() == want.tobytes()
 
 
 # (n, k, projection, replications) of one chunk each
@@ -398,23 +398,36 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
         assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
     with pytest.raises(ValueError, match="replications must be >= 1"):
         map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 10, -1)])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("replications, chunks", [(10, 1), (2 * chunk_size(10, 2) + 5, 3)])
 def test_simulate_batch_runs_on_one_thread_per_cpu_and_chunk(cpus, replications, chunks, monkeypatch):
+    """One fan-out: the chunks go through ``map_chunks``' pool of ``min(cpus, chunks)`` workers."""
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
     pools = []
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     simulate_batch(SimConfig(ProcessParams(10, 2), replications, seed=1))
     workers = min(cpus, chunks)
-    assert pools == ([workers] if workers > 1 else [])
+    assert pools == ([workers] if workers > 1 and hasattr(os, "fork") else [])
+
+
+@pytest.mark.parametrize("n, k", [(300, 100), (60_000, 2)])
+def test_simulate_batch_runs_past_the_recursions_bounds(n, k):
+    """The shift column has no ``MAX_K``/``MAX_N_MAX``; it is round(E(c . X_n)) all the same."""
+    assert k > MAX_K or n > MAX_N_MAX
+    c = np.linspace(1.0, 2.0, k - 1)
+    stats = simulate_batch(SimConfig(ProcessParams(n, k), 3, seed=4, projection=tuple(c)))
+    column = _mean_column(c.tolist(), n)
+    assert stats.shift == float(np.round(column[n]))
 
 
 def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
@@ -447,7 +460,8 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     code = (
         "import sys\n"
         "import spacings.cli\n"
-        "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "unloaded = {'multiprocessing', 'concurrent.futures', 'concurrent.futures.process'}\n"
+        "loaded = unloaded & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     src = str(Path(spacings.__file__).resolve().parents[1])
