@@ -27,13 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .moments import (
-    _check_k,
-    cov_rates_by_extrapolation,
-    cross_moment_recursion,
-    mean_recursion,
-    rates_by_extrapolation,
-)
+from .moments import _check_k, cov_rates_by_extrapolation, rates_by_extrapolation
 
 __all__ = [
     "GaussLegendreRule",
@@ -232,11 +226,12 @@ def cov_rates_by_quadrature(
     k: int,
     rule: GaussLegendreRule | None = None,
     inner: GaussLegendreRule | None = None,
-    rates: np.ndarray | None = None,
 ) -> _CovQuadResult:
     """Limiting covariance rates cov_rate_ij by outer quadrature of the kernel.
 
-    cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy.
+    cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy,
+    with the rates in the kernel's rate correction from
+    ``rates_by_quadrature(k, rule)``.
 
     Diagnostics, per entry: the worst node-level cancellation ratio (a
     reported figure; it is large wherever the kernel tends to zero near
@@ -250,8 +245,7 @@ def cov_rates_by_quadrature(
     _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    if rates is None:
-        rates = rates_by_quadrature(k, rule)
+    rates = rates_by_quadrature(k, rule)
     y = rule.nodes
     value, mags = _cov_kernel_table(y, k, _mean_gf_table(y, k, inner), rates)
     weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(y, k)
@@ -339,7 +333,7 @@ def constants_by_quadrature(
     rule = GaussLegendreRule.make(outer_nodes)
     inner = GaussLegendreRule.make(inner_nodes)
     rates = rates_by_quadrature(k, rule)
-    cov = cov_rates_by_quadrature(k, rule, inner, rates)
+    cov = cov_rates_by_quadrature(k, rule, inner)
     vac = vacancy_rate_by_quadrature(k, rule)
     return AsymptoticConstants(
         k=k,
@@ -358,9 +352,8 @@ def constants_by_quadrature(
 
 
 def constants_by_extrapolation(k: int, n_max: int = 300) -> AsymptoticConstants:
-    means = mean_recursion(k, n_max)
-    r = rates_by_extrapolation(k, n_max, means)
-    c = cov_rates_by_extrapolation(k, n_max, cross_moment_recursion(k, n_max, means))
+    r = rates_by_extrapolation(k, n_max)
+    c = cov_rates_by_extrapolation(k, n_max)
     j = np.arange(1, k)
     return AsymptoticConstants(
         k=k,

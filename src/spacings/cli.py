@@ -408,17 +408,16 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown tables {sorted(unknown)}")
     k, n_max = args.k, args.n_max
+    moments._check_kn(k, n_max)  # also when no table is asked for
     tables = []
     diagnostics: dict[str, Any] = {}
-    mean_table = moments.mean_recursion(k, n_max)
     if "mean" in wanted:
-        tables.append({"table": "mean", "values": mean_table.values})
+        tables.append({"table": "mean", "values": moments.mean_recursion(k, n_max).values})
     if "cov" in wanted:
-        cross = moments.cross_moment_recursion(k, n_max, mean_table)
-        tables.append({"table": "cov", "values": cross.cov})
+        tables.append({"table": "cov", "values": moments.cross_moment_recursion(k, n_max).cov})
     if "projected" in wanted:
         proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
-        pt = moments.projected_moment_recursion(proj, k, n_max, args.order, mean_table)
+        pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
         tables.append({"table": "raw", "values": pt.raw})
         tables.append({"table": "standardized", "values": pt.standardized})
         diagnostics["projected"] = {

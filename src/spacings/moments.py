@@ -12,12 +12,18 @@ to near machine precision because the finite-n correction dies off faster
 than any geometric rate.
 
 The same holds for every cumulant of a projection c . X_n: the projected
-recursion, centred on the asymptote of its mean, fills its later rows from
-cumulant rates once they hold (see :func:`projected_moment_recursion`).
+recursion, centred on the asymptote of its mean, builds its later raw and
+central rows straight from cumulant rates once they hold (see
+:func:`projected_moment_recursion`).
+
+Every table here is a function of its own arguments: a function that
+needs the mean table builds it from (k, n_max) and takes none from the
+caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,9 +215,7 @@ def mean_recursion_exact(k: int, n_max: int) -> list[list[Fraction]]:
     return g
 
 
-def cross_moment_recursion(
-    k: int, n_max: int, means: MeanTable | None = None
-) -> CrossMomentTable:
+def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
     """Raw second moments of the count vector by split averaging.
 
     second[n] = 2/(n-k+1) * sum_h second[h]
@@ -225,9 +229,7 @@ def cross_moment_recursion(
     running sum of second moments, compensated (Kahan) across steps.
     """
     _check_kn(k, n_max)
-    if means is None or means.n_max < n_max:
-        means = mean_recursion(k, n_max)
-    g = means.values[: n_max + 1]
+    g = mean_recursion(k, n_max).values
     d = k - 1
     # the table is symmetric: each entry i <= j is one column of `packed`
     i_idx, j_idx = np.triu_indices(d)
@@ -259,13 +261,10 @@ def cross_moment_recursion(
     return CrossMomentTable(k, second, cov)
 
 
-def cross_moment_recursion_exact(
-    k: int, n_max: int, means: list[list[Fraction]] | None = None
-) -> list[list[list[Fraction]]]:
+def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]]]:
     """Rational twin of :func:`cross_moment_recursion` (raw second moments)."""
     _check_kn(k, n_max)
-    if means is None:
-        means = mean_recursion_exact(k, n_max)
+    means = mean_recursion_exact(k, n_max)
     d = k - 1
     second = [[[Fraction(0)] * d for _ in range(d)] for _ in range(n_max + 1)]
     for n in range(1, min(k, n_max + 1)):
@@ -283,13 +282,21 @@ def cross_moment_recursion_exact(
     return second
 
 
-def _binomial_rows(order: int) -> list[list[int]]:
-    """Rows 0..order of Pascal's triangle in Python ints, zero-padded to order+1."""
+@functools.lru_cache(maxsize=8)
+def _binomial_rows(order: int) -> np.ndarray:
+    """Rows 0..order of Pascal's triangle, zero-padded to order+1, as floats.
+
+    Built by Pascal's rule in Python ints and rounded once, so each entry
+    is the double nearest its binomial.  Built on first use for each order
+    and shared by every later caller, so the array is read-only.
+    """
     rows = [[1] + [0] * order]
     for _ in range(order):
         prev = rows[-1]
         rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, order + 1)])
-    return rows
+    table = np.array(rows, float)
+    table.flags.writeable = False
+    return table
 
 
 def _recenter(mom: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -346,11 +353,7 @@ def _continued_rates(
 
 
 def projected_moment_recursion(
-    projection: Sequence[float],
-    k: int,
-    n_max: int,
-    order: int = 8,
-    means: MeanTable | None = None,
+    projection: Sequence[float], k: int, n_max: int, order: int = 8
 ) -> ProjectedMomentTable:
     """Moments of c . X_n up to ``order`` by binomial split averaging.
 
@@ -362,10 +365,9 @@ def projected_moment_recursion(
 
     from their deterministic rows n <= k, and one loop runs both.  r is
     the projected mean rate at n_max, c . ``mean_recursion(k,
-    n_max).rate(n_max)`` (read from ``means`` when that table reaches
-    n_max), so Z_n is centred up to rounding.  ``standardized`` takes the
-    central moments, scaled by n**(-m/2), from Z without cancellation;
-    ``raw`` holds the moments of c . X_n.
+    n_max).rate(n_max)``, so Z_n is centred up to rounding.
+    ``standardized`` takes the central moments, scaled by n**(-m/2), from
+    Z without cancellation; ``raw`` holds the moments of c . X_n.
 
     Each cumulant of c . X_n is kappa_m (n+k) plus a remainder that dies
     faster than geometrically.  So every ``STABILIZATION_LOOKBACK`` rows
@@ -374,10 +376,11 @@ def projected_moment_recursion(
     they give are compared with the recursion's, moment m in units of
     (kappa_2(t) (s+k)/(t+k))**(m/2), the scale of the standardized law.
     At the first n where all agree within ``CONTINUATION_TOL`` the loop
-    stops: ``continued_from`` is n, ``cumulant_rates`` holds the rates
-    kappa_m(t)/(t+k) of c . X_n, and rows n+1..n_max follow from them.
-    When no n <= n_max qualifies, the recursion runs to n_max and both
-    are None.
+    stops: ``continued_from`` is n and ``cumulant_rates`` holds the rates
+    kappa_m(t)/(t+k) of c . X_n.  Rows s = n+1..n_max come straight from
+    the cumulants kappa_m (s+k): the raw moments with the first rate as it
+    is, the central moments with a first cumulant of 0.  When no n <= n_max
+    qualifies, the recursion runs to n_max and both are None.
 
     Split points j and L-1-j pair the same two rows, so each step sums each
     pair once: half = T[:h].T @ reversed(T[L-h:L]) with h = ceil(L/2),
@@ -392,22 +395,30 @@ def projected_moment_recursion(
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    if means is None or means.n_max < n_max:
-        means = mean_recursion(k, n_max)
-    r = float(np.dot(c, means.rate(n_max)))
-    binom = np.array(_binomial_rows(order), float)
+    r = float(np.dot(c, mean_recursion(k, n_max).rate(n_max)))
+    binom = _binomial_rows(order)
     table, n0, rates = _split_tables(c, k, n_max, order, r, binom, CONTINUATION_TOL)
-    raw = table[:, : order + 1].copy()
+    W, done = order + 1, len(table)
+    raw = np.empty((n_max + 1, W))
+    raw[:done] = table[:, :W]
+    if n0 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            kap = rates * (np.arange(n0 + 1, n_max + 1, dtype=float)[:, None] + k)
+            raw[done:] = _moments_from_cumulants(kap, binom)
     if not np.isfinite(raw).all():
         raise OverflowError(
             "projected moment recursion left double range; lower order or n_max"
         )
-    central = _recenter(table[1:, order + 1 :], binom)
+    central = np.zeros((n_max + 1, W))
+    central[1:done] = _recenter(table[1:, W:], binom)
+    if n0 is not None:
+        kap[:, 1] = 0.0  # a first cumulant of 0 gives central moments
+        central[done:] = _moments_from_cumulants(kap, binom)
     std = np.zeros_like(raw)
     std[:, 0] = 1.0
     scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
     for m in range(1, order + 1):
-        std[1:, m] = central[:, m] * scale**m
+        std[1:, m] = central[1:, m] * scale**m
     return ProjectedMomentTable(k, c, raw, std, n0, r, rates)
 
 
@@ -417,9 +428,10 @@ def _split_tables(
     """Moments of c . X_n and of Z_n = c . X_n - r (n+k), side by side.
 
     Returns (table, n0, rates).  ``table[:, :M+1]`` holds the moments of
-    c . X_n and ``table[:, M+1:]`` those of Z_n.  Rows past n0 follow from
-    ``rates``, the cumulant rates of c . X_n; both are None when no trial
-    held within ``tol``, and ``tol = 0`` runs the recursion to n_max.
+    c . X_n and ``table[:, M+1:]`` those of Z_n, for the rows the
+    recursion computed: rows 0..n0 when the cumulant rates of c . X_n,
+    ``rates``, held within ``tol`` at n0, and else rows 0..n_max with n0
+    and rates None.  ``tol = 0`` runs the recursion to n_max.
     """
     W = M + 1
     table = np.zeros((n_max + 1, 2 * W))
@@ -439,7 +451,6 @@ def _split_tables(
     m_idx = np.concatenate([i_idx + l_idx, i_idx + l_idx + W])
     weight = np.tile(binom[i_idx + l_idx, i_idx], 2)
     lookback = STABILIZATION_LOOKBACK
-    n0 = rates = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(k + 1, n_max + 1):
             L = n - k + 1
@@ -459,12 +470,9 @@ def _split_tables(
                 continue  # rows up to k are deterministic: no rates to read
             rates = _continued_rates(table[n - lookback : n + 1, W:], n - lookback + k, binom, tol)
             if rates is not None:
-                n0, s = n, np.arange(n + 1, n_max + 1, dtype=float)[:, None] + k
-                table[n + 1 :, W:] = _moments_from_cumulants(rates * s, binom)
                 rates[1] += r  # c . X_n = Z_n + r (n+k)
-                table[n + 1 :, :W] = _moments_from_cumulants(rates * s, binom)
-                break
-    return table, n0, rates
+                return table[: n + 1], n, rates
+    return table, None, None
 
 
 def projected_moment_recursion_exact(
@@ -502,9 +510,7 @@ def _read_out(rate: Callable[[int], np.ndarray], n_max: int) -> ExtrapolationRes
     return ExtrapolationResult(value, gap, gap < STABILIZATION_TOL, n_max)
 
 
-def rates_by_extrapolation(
-    k: int, n_max: int = 200, means: MeanTable | None = None
-) -> ExtrapolationResult:
+def rates_by_extrapolation(k: int, n_max: int = 200) -> ExtrapolationResult:
     """Limiting spacing rates read off a finite mean table.
 
     Returns mean[n_max]/(n_max+k) together with the change against the row
@@ -513,20 +519,14 @@ def rates_by_extrapolation(
     """
     if n_max <= k + STABILIZATION_LOOKBACK:
         raise ValueError("n_max too small to diagnose stabilization")
-    if means is None or means.n_max < n_max:
-        means = mean_recursion(k, n_max)
-    return _read_out(means.rate, n_max)
+    return _read_out(mean_recursion(k, n_max).rate, n_max)
 
 
-def cov_rates_by_extrapolation(
-    k: int, n_max: int = 200, table: CrossMomentTable | None = None
-) -> ExtrapolationResult:
+def cov_rates_by_extrapolation(k: int, n_max: int = 200) -> ExtrapolationResult:
     """Limiting covariance rates read off a finite covariance table."""
     if n_max <= k + STABILIZATION_LOOKBACK:
         raise ValueError("n_max too small to diagnose stabilization")
-    if table is None or table.n_max < n_max:
-        table = cross_moment_recursion(k, n_max)
-    return _read_out(table.cov_rate, n_max)
+    return _read_out(cross_moment_recursion(k, n_max).cov_rate, n_max)
 
 
 def averaging_recursion_limit(
@@ -553,9 +553,7 @@ def averaging_recursion_limit(
     return AveragingLimitResult(a[n_max], predicted, abs(a[n_max] - predicted))
 
 
-def mean_drift_bound(
-    k: int, n_max: int, means: MeanTable | None = None
-) -> DriftBoundResult:
+def mean_drift_bound(k: int, n_max: int) -> DriftBoundResult:
     """Empirical supremum of the centering drift in the split identity.
 
     For each n the drift at split point j is mean[j] + mean[n-k-j] - mean[n];
@@ -563,9 +561,7 @@ def mean_drift_bound(
     maximum settles to a constant once the mean rates have converged.
     """
     _check_kn(k, n_max)
-    if means is None or means.n_max < n_max:
-        means = mean_recursion(k, n_max)
-    g = means.values
+    g = mean_recursion(k, n_max).values
     per_n = np.zeros(n_max + 1)
     for n in range(k, n_max + 1):
         L = n - k

@@ -152,8 +152,16 @@ def simulate_once(
     return GapCounts(tuple(counts), hats)
 
 
-def _chunk_sizes(params: ProcessParams, replications: int) -> Iterator[int]:
-    """The stream layout: chunk c has this many rows and draws from ``_chunk_rng(seed, c)``."""
+def _chunk_sizes(params: ProcessParams, replications: int, seed: int) -> Iterator[int]:
+    """The stream layout: chunk c has this many rows and draws from ``_chunk_rng(seed, c)``.
+
+    Every sampler goes through here, so the request is checked here, before
+    the first chunk is sampled.
+    """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     size = chunk_size(params.n, params.k)
     for start in range(0, replications, size):
         yield min(size, replications - start)
@@ -215,9 +223,7 @@ def iter_state_chunks(
     params: ProcessParams, replications: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (counts, hats) arrays chunk by chunk, deterministically."""
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    for index, m in enumerate(_chunk_sizes(params, replications)):
+    for index, m in enumerate(_chunk_sizes(params, replications, seed)):
         yield _simulate_chunk(params, m, _chunk_rng(seed, index))
 
 
@@ -268,11 +274,7 @@ def map_chunks(
     """
     jobs, owners = [], []
     for owner, (params, replications, seed) in enumerate(requests):
-        if replications < 1:
-            raise ValueError("replications must be >= 1")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        for index, m in enumerate(_chunk_sizes(params, replications)):
+        for index, m in enumerate(_chunk_sizes(params, replications, seed)):
             jobs.append((fn, params, m, seed, index))
             owners.append(owner)
     workers = min(_cpu_count(), len(jobs))
@@ -413,8 +415,7 @@ def simulate_batch(config: SimConfig) -> SampleStats:
     mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / m)
 
     pow_sums = np.array([math.fsum(q) for q in zip(*pow_parts)])
-    binom = np.array(_binomial_rows(2 * order), float)
-    central = _recenter((pow_sums / m)[None, :], binom)[0]
+    central = _recenter((pow_sums / m)[None, :], _binomial_rows(2 * order))[0]
     scale = float(n) ** -0.5 if n >= 1 else 0.0
     std = np.array([central[p] * scale**p for p in range(order + 1)])
     var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)

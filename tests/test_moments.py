@@ -133,13 +133,6 @@ def test_cross_moments_match_exact_at_every_table_end(k):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=str(n_max))
 
 
-def test_cross_moments_accept_a_longer_mean_table():
-    longer = cross_moment_recursion(3, 50, mean_recursion(3, 100))
-    plain = cross_moment_recursion(3, 50)
-    assert np.array_equal(longer.second, plain.second)
-    assert np.array_equal(longer.cov, plain.cov)
-
-
 def test_cov_rate_reaches_limit_k2():
     res = cov_rates_by_extrapolation(2, 300)
     assert res.value[0][0] == pytest.approx(4 * math.exp(-4), abs=1e-10)
@@ -209,6 +202,22 @@ def test_standardized_moments_shape_and_centering():
     assert t.standardized[300, 2] == pytest.approx(cov / 300, rel=1e-10)
 
 
+def test_standardized_matches_the_rational_twin_across_the_switch():
+    # rows up to continued_from are re-centred from Z, later rows come from
+    # the cumulant rates; measured max abs error 1.1e-16 on both sides
+    raw = projected_moment_recursion_exact((1,), 2, 80, order=6)
+    t = projected_moment_recursion([1.0], 2, 80, order=6)
+    assert t.continued_from == 60
+    want = np.zeros((81, 7))
+    want[:, 0] = 1.0
+    for n in range(1, 81):
+        mu = raw[n][1]
+        for m in range(1, 7):
+            central = sum(math.comb(m, i) * raw[n][i] * (-mu) ** (m - i) for i in range(m + 1))
+            want[n, m] = float(central) / n ** (m / 2)
+    np.testing.assert_allclose(t.standardized, want, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("projection, k", [((1.0,), 2), ((1.0, 0.0), 3), ((1.0, 1.0), 3)])
 def test_standardized_kurtosis_ratio_rises_strictly(projection, k):
     # the 8th standardized moment over sigma^8 climbs toward the normal 105;
@@ -223,7 +232,7 @@ def _full_recursion(projection, k, n_max, order=8):
     """Raw and standardized tables of the centred recursion run to n_max, never continued."""
     c = tuple(projection)
     r = float(np.dot(c, mean_recursion(k, n_max).rate(n_max)))
-    binom = np.array(_binomial_rows(order), float)
+    binom = _binomial_rows(order)
     table, n0, rates = moments._split_tables(c, k, n_max, order, r, binom, tol=0.0)
     assert n0 is None and rates is None
     central = _recenter(table[1:, order + 1 :], binom)
@@ -320,8 +329,9 @@ def test_arguments_past_their_bounds_are_rejected():
 def test_binomial_rows_are_math_comb(order):
     rows = _binomial_rows(order)
     want = [[math.comb(m, i) for i in range(order + 1)] for m in range(order + 1)]
-    assert rows == want
-    assert np.array_equal(np.array(rows, float), np.array(want, float))
+    assert np.array_equal(rows, np.array(want, float))
+    # one shared table per order, which no caller may write to
+    assert _binomial_rows(order) is rows and not rows.flags.writeable
 
 
 _SMALL_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -343,7 +353,7 @@ def test_recenter_matches_exact_central_moments(samples, about, order):
         return [sum((x - a) ** p for x in xs) / len(xs) for p in range(order + 1)]
 
     about_point = np.array([[float(v) for v in moments_about(xs, about)] for xs in samples])
-    got = _recenter(about_point, np.array(_binomial_rows(order), float))
+    got = _recenter(about_point, _binomial_rows(order))
     for xs, row, mom in zip(samples, got, about_point):
         want = moments_about(xs, sum(xs) / len(xs))
         for m in range(order + 1):

@@ -281,7 +281,7 @@ def test_stats_projection_holds_python_floats(projection):
 )
 def test_chunk_sizes_deal_out_every_replication(n, k, replications):
     params = ProcessParams(n, k)
-    sizes = list(_chunk_sizes(params, replications))
+    sizes = list(_chunk_sizes(params, replications, 0))
     assert sum(sizes) == replications
     assert all(m == chunk_size(n, k) for m in sizes[:-1])
     assert 1 <= sizes[-1] <= chunk_size(n, k)
@@ -398,8 +398,13 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
         assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
     with pytest.raises(ValueError, match="replications must be >= 1"):
         map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 10, -1)])
+    for bad_seed in (
+        lambda: map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 10, -1)]),
+        lambda: sample_states(ProcessParams(10, 2), 5, -1),
+        lambda: next(iter_state_chunks(ProcessParams(10, 2), 5, -1)),
+    ):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            bad_seed()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
