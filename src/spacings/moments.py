@@ -23,7 +23,6 @@ caller.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,10 +91,6 @@ class MeanTable:
     k: int
     values: np.ndarray
 
-    @property
-    def n_max(self) -> int:
-        return self.values.shape[0] - 1
-
     def rate(self, n: int) -> np.ndarray:
         """Expected counts per (n+k) hooks; converges to the limiting rates."""
         return self.values[n] / (n + self.k)
@@ -108,10 +103,6 @@ class CrossMomentTable:
     k: int
     second: np.ndarray  # (n_max+1, k-1, k-1)
     cov: np.ndarray  # same shape
-
-    @property
-    def n_max(self) -> int:
-        return self.second.shape[0] - 1
 
     def cov_rate(self, n: int) -> np.ndarray:
         return self.cov[n] / (n + self.k)
@@ -136,10 +127,6 @@ class ProjectedMomentTable:
     continued_from: int | None
     shift_rate: float
     cumulant_rates: np.ndarray | None
-
-    @property
-    def n_max(self) -> int:
-        return self.raw.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -282,21 +269,17 @@ def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]
     return second
 
 
-@functools.lru_cache(maxsize=8)
 def _binomial_rows(order: int) -> np.ndarray:
     """Rows 0..order of Pascal's triangle, zero-padded to order+1, as floats.
 
     Built by Pascal's rule in Python ints and rounded once, so each entry
-    is the double nearest its binomial.  Built on first use for each order
-    and shared by every later caller, so the array is read-only.
+    is the double nearest its binomial.
     """
     rows = [[1] + [0] * order]
     for _ in range(order):
         prev = rows[-1]
         rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, order + 1)])
-    table = np.array(rows, float)
-    table.flags.writeable = False
-    return table
+    return np.array(rows, float)
 
 
 def _recenter(mom: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -364,8 +347,9 @@ def projected_moment_recursion(
         T[n, m] = 1/(n-k+1) * sum_j sum_i C(m, i) T[j, i] T[n-k-j, m-i]
 
     from their deterministic rows n <= k, and one loop runs both.  r is
-    the projected mean rate at n_max, c . ``mean_recursion(k,
-    n_max).rate(n_max)``, so Z_n is centred up to rounding.
+    the projected mean rate at n_max, E(c . X_{n_max})/(n_max+k) from the
+    single column ``_mean_column(c, n_max)``, so Z_n is centred up to
+    rounding.
     ``standardized`` takes the central moments, scaled by n**(-m/2), from
     Z without cancellation; ``raw`` holds the moments of c . X_n.
 
@@ -395,7 +379,7 @@ def projected_moment_recursion(
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    r = float(np.dot(c, mean_recursion(k, n_max).rate(n_max)))
+    r = _mean_column(list(c), n_max)[n_max] / (n_max + k)
     binom = _binomial_rows(order)
     table, n0, rates = _split_tables(c, k, n_max, order, r, binom, CONTINUATION_TOL)
     W, done = order + 1, len(table)
@@ -471,7 +455,7 @@ def _split_tables(
             rates = _continued_rates(table[n - lookback : n + 1, W:], n - lookback + k, binom, tol)
             if rates is not None:
                 rates[1] += r  # c . X_n = Z_n + r (n+k)
-                return table[: n + 1], n, rates
+                return table[: n + 1].copy(), n, rates
     return table, None, None
 
 
