@@ -201,8 +201,8 @@ def test_quadrature_and_extrapolation_agree():
 @pytest.mark.parametrize("k", range(2, 9))
 def test_extrapolation_shares_its_mean_table(k):
     # the constants carry the covariance rates of cov_rates_by_extrapolation,
-    # bit for bit.  (The name dates from when one mean table was handed to
-    # both; now each builds its own from (k, n_max) and none is shared.)
+    # bit for bit; its rates and covariances read equal (k, n_max) mean
+    # tables, each built where it is used, none handed over
     want = moments.cov_rates_by_extrapolation(k, 300).value
     assert np.array_equal(constants_by_extrapolation(k, 300).cov_rates, want)
 
