@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 
+from spacings.cli import _parse_projection
 from spacings.model import ProcessParams
 from spacings.moments import cross_moment_recursion, projected_moment_recursion
 from spacings.simulate import SimConfig, simulate_batch
@@ -32,11 +33,10 @@ def main() -> None:
     args = ap.parse_args()
 
     k = args.k
-    c = (
-        tuple(float(v) for v in args.projection.split(","))
-        if args.projection
-        else tuple([1.0] * (k - 1))
-    )
+    try:
+        c = _parse_projection(args.projection) or (1.0,) * (k - 1)
+    except ValueError as e:
+        ap.error(str(e))
     grid = [50, 100, 200, 400, 800, 5000, 20000]
     sim_n = 800  # the simulation column stays here, so the run time does not grow with the grid
 

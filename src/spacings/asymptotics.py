@@ -40,7 +40,7 @@ __all__ = [
     "cf_fixed_point_residual",
     "cf_residual",
     "AsymptoticConstants",
-    "CovQuadratureDiagnostics",
+    "CovQuadrature",
     "constants_by_quadrature",
     "constants_by_extrapolation",
     "DEFAULT_OUTER_NODES",
@@ -61,9 +61,9 @@ COV_REL_TOL = 1e-8
 class GaussLegendreRule:
     """Gauss-Legendre nodes and weights mapped onto [0, 1].
 
-    Nodes are strictly interior and weights are positive and sum to the
-    interval length, so integrands may blow up at the endpoints without
-    ever being evaluated there.
+    Nodes are strictly interior and weights are positive and sum to 1, so
+    integrands may blow up at the endpoints without ever being evaluated
+    there.  Integrate f over [0, 1] as ``weights @ f(nodes)``.
     """
 
     nodes: np.ndarray
@@ -82,15 +82,6 @@ class GaussLegendreRule:
         nodes, weights = (x + 1.0) / 2.0, w / 2.0
         nodes.flags.writeable = weights.flags.writeable = False
         return cls(nodes, weights)
-
-    def on(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Affine image of the rule on [a, b]."""
-        span = b - a
-        return a + span * self.nodes, span * self.weights
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray], a: float = 0.0, b: float = 1.0) -> float:
-        x, w = self.on(a, b)
-        return float(w @ f(x))
 
 
 def exp_weight(y, k: int):
@@ -205,37 +196,30 @@ def cov_kernel(
 
 
 @dataclass(frozen=True)
-class CovQuadratureDiagnostics:
-    """Error diagnostics for one covariance-rate quadrature."""
+class CovQuadrature:
+    """Covariance rates from one quadrature, with their error diagnostics per (i, j)."""
 
-    max_term_ratio: np.ndarray  # per (i, j): max over nodes of max_term/|kernel|
-    flagged: np.ndarray  # per (i, j): est_abs_error > COV_REL_TOL * |entry|
-    est_abs_error: np.ndarray  # per (i, j): rounding and inherited input error
-
-    def any_flagged(self) -> bool:
-        return bool(self.flagged.any())
-
-
-@dataclass(frozen=True)
-class _CovQuadResult:
     matrix: np.ndarray
-    diagnostics: CovQuadratureDiagnostics
+    max_term_ratio: np.ndarray  # max over nodes of max_term/|kernel|
+    flagged: np.ndarray  # est_abs_error > COV_REL_TOL * |entry|
+    est_abs_error: np.ndarray  # rounding and inherited input error
 
 
 def cov_rates_by_quadrature(
     k: int,
     rule: GaussLegendreRule | None = None,
     inner: GaussLegendreRule | None = None,
-) -> _CovQuadResult:
+) -> CovQuadrature:
     """Limiting covariance rates cov_rate_ij by outer quadrature of the kernel.
 
     cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy,
     with the rates in the kernel's rate correction from
     ``rates_by_quadrature(k, rule)``.
 
-    Diagnostics, per entry: the worst node-level cancellation ratio (a
-    reported figure; it is large wherever the kernel tends to zero near
-    y = 1), and an estimate of the absolute error carried to the integral.
+    Returns the matrix with its diagnostics, per entry: the worst node-level
+    cancellation ratio (a reported figure; it is large wherever the kernel
+    tends to zero near y = 1), and an estimate of the absolute error carried
+    to the integral.
     At each node that estimate takes eps times the largest piece, plus the
     relative error the product piece inherits from the inner-rule mean
     generating function, 2 (inner nodes + k + 6) eps, and the one the rate
@@ -257,12 +241,7 @@ def cov_rates_by_quadrature(
     matrix = np.tensordot(weight, value, axes=1)
     err = np.tensordot(weight, node_err, axes=1)
     ratio = (max_term / np.maximum(np.abs(value), np.finfo(float).tiny)).max(axis=0)
-    diags = CovQuadratureDiagnostics(
-        max_term_ratio=ratio,
-        flagged=err > COV_REL_TOL * np.abs(matrix),
-        est_abs_error=err,
-    )
-    return _CovQuadResult(matrix, diags)
+    return CovQuadrature(matrix, ratio, err > COV_REL_TOL * np.abs(matrix), err)
 
 
 def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> float:
@@ -273,7 +252,7 @@ def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) ->
     """
     _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    integral = rule.integrate(lambda y: exp_weight(y, k))
+    integral = float(rule.weights @ exp_weight(rule.nodes, k))
     return 1.0 - k * integral / _exp_weight_at_one(k)
 
 
@@ -344,9 +323,9 @@ def constants_by_quadrature(
         diagnostics={
             "outer_nodes": outer_nodes,
             "inner_nodes": inner_nodes,
-            "cancellation_max_ratio": float(cov.diagnostics.max_term_ratio.max()),
-            "cancellation_flagged": cov.diagnostics.any_flagged(),
-            "cov_est_abs_error": float(cov.diagnostics.est_abs_error.max()),
+            "cancellation_max_ratio": float(cov.max_term_ratio.max()),
+            "cancellation_flagged": bool(cov.flagged.any()),
+            "cov_est_abs_error": float(cov.est_abs_error.max()),
         },
     )
 

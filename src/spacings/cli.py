@@ -87,11 +87,11 @@ def entry_rows(entry: dict) -> list[list]:
     rows = []
     table = entry["table"]
     arr = np.asarray(entry["values"]).tolist()  # numpy 2 scalars repr as np.float64(...)
-    if table in ("mean", "mean_rate"):
+    if table == "mean":
         for n, row in enumerate(arr):
             for i, v in enumerate(row, start=1):
                 rows.append([table, n, i, "", "", repr(v)])
-    elif table in ("second", "cov"):
+    elif table == "cov":
         for n, mat in enumerate(arr):
             for i, row in enumerate(mat, start=1):
                 for j, v in enumerate(row, start=1):
@@ -168,6 +168,7 @@ def _json_pieces(obj: Any, indent: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
+        # a flat float list, such as simulate's (k-1)^2 covariance entries at large k
         text = _float_join(obj, (len(obj),), indent)
         if text is not None:
             out.append(text)

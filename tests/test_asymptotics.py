@@ -40,17 +40,9 @@ def test_rule_integrates_polynomials_exactly(nodes, coeffs):
     # degree cap 2*nodes - 1
     coeffs = coeffs[: 2 * nodes]
     rule = GaussLegendreRule.make(nodes)
-    got = rule.integrate(lambda y: sum(c * y**m for m, c in enumerate(coeffs)))
+    got = float(rule.weights @ sum(c * rule.nodes**m for m, c in enumerate(coeffs)))
     want = sum(c / (m + 1) for m, c in enumerate(coeffs))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_rule_affine_remap():
-    rule = GaussLegendreRule.make(8)
-    assert rule.integrate(lambda y: y, 2.0, 5.0) == pytest.approx((25 - 4) / 2, rel=1e-13)
-    x, w = rule.on(2.0, 5.0)
-    assert x.min() > 2.0 and x.max() < 5.0
-    assert w.sum() == pytest.approx(3.0, rel=1e-13)
 
 
 def test_rule_is_built_once_and_read_only():
@@ -160,19 +152,19 @@ def test_cov_diagnostics_report_cancellation():
     # the kernel vanishes at y=1 while its pieces do not: at default nodes
     # the error estimate stays tiny and no entry misses 1e-8 relative
     for k in range(2, 9):
-        d = cov_rates_by_quadrature(k).diagnostics
+        d = cov_rates_by_quadrature(k)
         assert np.max(d.est_abs_error) < 1e-10
-        assert not d.any_flagged()
+        assert not d.flagged.any()
     # 1024 nodes crowd y=1, where the pieces grow like (1-y)^-2: the k=2
     # entry is off by about 2e-9, beyond 1e-8 relative, and must say so
-    assert cov_rates_by_quadrature(2, GaussLegendreRule.make(1024)).diagnostics.any_flagged()
+    assert cov_rates_by_quadrature(2, GaussLegendreRule.make(1024)).flagged.any()
 
 
 @pytest.mark.parametrize("nodes", [64, 128, 256, 512, 1024])
 def test_cov_error_estimate_covers_closed_form_k2(nodes):
     res = cov_rates_by_quadrature(2, GaussLegendreRule.make(nodes))
     actual = abs(res.matrix[0, 0] - 4.0 * math.exp(-4.0))
-    assert res.diagnostics.est_abs_error[0, 0] >= actual
+    assert res.est_abs_error[0, 0] >= actual
 
 
 def test_cov_kernel_is_the_quadrature_integrand():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spacings import cli, simulate
+from spacings import cli, exact, simulate
 from spacings.asymptotics import MAX_RULE_NODES
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
+from spacings.exact import Pmf
 
 
 def run(capsys, *argv):
@@ -49,6 +51,23 @@ def test_exact_compare_routes(capsys):
     d = env["diagnostics"]
     assert d["methods_agree"] is True
     assert d["total_variation"] == 0.0
+
+
+def test_exact_compare_exits_1_when_the_routes_disagree(capsys, monkeypatch):
+    def moved(params, **kw):
+        # move 1e-9 of mass from one state to another
+        probs = dict(direct(params, **kw).probs)
+        first, second = sorted(probs)[:2]
+        probs[first] -= Fraction(1, 10**9)
+        probs[second] += Fraction(1, 10**9)
+        return Pmf(params, probs)
+
+    direct = exact.pmf_direct
+    monkeypatch.setattr(exact, "pmf_direct", moved)
+    code, env = run_json(capsys, "exact", "--n", "10", "--k", "3", "--compare")
+    assert code == 1
+    assert env["diagnostics"]["methods_agree"] is False
+    assert env["diagnostics"]["total_variation_exact"] == "1/1000000000"
 
 
 def test_exact_csv_schema(capsys):
@@ -149,7 +168,7 @@ def test_verify_quick_line_per_check(capsys, tmp_path):
     assert len(checks) == 12
     stage_keys = {c["name"][:2]: set(c["stages"]) for c in checks}
     assert stage_keys["04"] == {"sample_s", "law_s"}
-    assert stage_keys["12"] == {"sample_s", "batch_s", "scalar_s"}
+    assert stage_keys["12"] == {"sample_s", "scalar_s"}
     assert all(not keys for name, keys in stage_keys.items() if name not in ("04", "12"))
     for c in checks:
         assert all(v >= 0 for v in c["stages"].values())

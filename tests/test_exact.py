@@ -160,12 +160,18 @@ def test_chi_square_rejects_stray_states():
 
 
 def test_chi_square_pools_rare_cells():
-    pmf = pmf_split(ProcessParams(12, 2))
-    counter = {g: max(1, int(p * 60)) for g, p in pmf.probs.items()}
-    stat, dof, _ = chi_square_gof(pmf, counter, min_expected=5.0)
-    assert dof >= 1
-    # pooling can only reduce the cell count
-    assert dof < len(pmf.probs)
+    # (20, 2) at 100 draws expects 3.64 and 4.01 of its two rarest states,
+    # which make one pooled cell beside the two common ones
+    pmf = pmf_split(ProcessParams(20, 2))
+    p = {g.hats: float(q) for g, q in pmf.probs.items()}
+    assert sorted(100 * v for v in p.values())[:2] == [
+        pytest.approx(3.64, abs=5e-3), pytest.approx(4.01, abs=5e-3)
+    ]
+    observed = {10: 5, 9: 45, 8: 47, 7: 3}
+    stat, dof, _ = chi_square_gof(pmf, {g: observed[g.hats] for g in pmf.probs}, min_expected=5.0)
+    cells = [(100 * p[9], 45), (100 * p[8], 47), (100 * (p[10] + p[7]), 5 + 3)]
+    assert dof == 2
+    assert stat == pytest.approx(sum((o - e) ** 2 / e for e, o in cells), rel=1e-12)
 
 
 def _tail_tol(x: float, dof: int) -> float:

@@ -171,9 +171,10 @@ def test_projected_exact_twin_agrees_at_high_order():
     "projection, k",
     [((Fraction(-3, 2),), 2), ((1, -2, Fraction(1, 2)), 4), ((0, 1, -1, 3), 5)],
 )
-@pytest.mark.parametrize("n_max", [41, 42])
+@pytest.mark.parametrize("n_max", [2, 41, 42])
 def test_projected_exact_twin_agrees_with_mixed_signs(projection, k, n_max):
-    # both parities of the split length L, so rows with and without a centre term
+    # both parities of the split length L, so rows with and without a centre term;
+    # n_max = 2 ends the table at or before its seed rows (n_max <= k)
     ex = projected_moment_recursion_exact(projection, k, n_max, order=8)
     fl = projected_moment_recursion([float(v) for v in projection], k, n_max, 8)
     np.testing.assert_allclose(fl.raw, _floats(ex), rtol=1e-12, atol=0)
@@ -228,20 +229,13 @@ def test_standardized_kurtosis_ratio_rises_strictly(projection, k):
     assert 104.5 < ratio[-1] < 105
 
 
-def _full_recursion(projection, k, n_max, order=8):
+def _full_recursion(monkeypatch, projection, k, n_max):
     """Raw and standardized tables of the centred recursion run to n_max, never continued."""
-    c = tuple(projection)
-    r = moments._mean_column(list(c), n_max)[n_max] / (n_max + k)
-    binom = _binomial_rows(order)
-    table, n0, rates = moments._split_tables(c, k, n_max, order, r, binom, tol=0.0)
-    assert n0 is None and rates is None
-    central = _recenter(table[1:, order + 1 :], binom)
-    std = np.zeros((n_max + 1, order + 1))
-    std[:, 0] = 1.0
-    scale = np.arange(1, n_max + 1, dtype=float) ** -0.5
-    for m in range(1, order + 1):
-        std[1:, m] = central[:, m] * scale**m
-    return table[:, : order + 1], std
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "CONTINUATION_TOL", 0.0)
+        t = projected_moment_recursion(projection, k, n_max)
+    assert t.continued_from is None and t.cumulant_rates is None
+    return t.raw, t.standardized
 
 
 @pytest.mark.parametrize(
@@ -250,11 +244,11 @@ def _full_recursion(projection, k, n_max, order=8):
     + [((1.0, -1.0, 2.0), 4, 600)],
     ids=lambda v: str(v),
 )
-def test_continuation_matches_the_full_recursion(projection, k, n_max):
+def test_continuation_matches_the_full_recursion(monkeypatch, projection, k, n_max):
     t = projected_moment_recursion(projection, k, n_max)
     n0 = t.continued_from
     assert n0 is not None and n0 < n_max
-    raw, std = _full_recursion(projection, k, n_max)
+    raw, std = _full_recursion(monkeypatch, projection, k, n_max)
     # the rows up to the switch are the recursion's own
     assert np.array_equal(t.raw[: n0 + 1], raw[: n0 + 1])
     assert np.array_equal(t.standardized[: n0 + 1], std[: n0 + 1])

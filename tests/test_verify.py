@@ -1,4 +1,7 @@
-"""Verification checks 04 and 12: the same verdicts at any worker count, and check 12 can fail."""
+"""Verification checks 04 and 12: the same verdicts at any worker count, and check 12 can fail.
+
+Also: a check that overruns its budget fails.
+"""
 from __future__ import annotations
 
 import pytest
@@ -54,3 +57,9 @@ def test_check_12_reports_the_first_invalid_row_in_chunk_order(monkeypatch):
         result = verify.check_conservation_at_scale(total)
         assert not result.passed
         assert result.measured == want
+
+
+def test_a_check_that_overruns_its_budget_fails():
+    result = verify._timed("x", 0.0, lambda: (True, "m"))
+    assert not result.passed
+    assert result.measured == "m (overran budget 0s)"
