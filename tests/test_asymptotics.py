@@ -152,9 +152,9 @@ def test_cov_diagnostics_report_cancellation():
     # the kernel vanishes at y=1 while its pieces do not: at default nodes
     # the error estimate stays tiny and no entry misses 1e-8 relative
     for k in range(2, 9):
-        d = cov_rates_by_quadrature(k)
-        assert np.max(d.est_abs_error) < 1e-10
-        assert not d.flagged.any()
+        res = cov_rates_by_quadrature(k)
+        assert np.max(res.est_abs_error) < 1e-10
+        assert not res.flagged.any()
     # 1024 nodes crowd y=1, where the pieces grow like (1-y)^-2: the k=2
     # entry is off by about 2e-9, beyond 1e-8 relative, and must say so
     assert cov_rates_by_quadrature(2, GaussLegendreRule.make(1024)).flagged.any()

@@ -16,7 +16,6 @@ from spacings import cli, exact, simulate
 from spacings.asymptotics import MAX_RULE_NODES
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
-from spacings.exact import Pmf
 
 
 def run(capsys, *argv):
@@ -60,7 +59,7 @@ def test_exact_compare_exits_1_when_the_routes_disagree(capsys, monkeypatch):
         first, second = sorted(probs)[:2]
         probs[first] -= Fraction(1, 10**9)
         probs[second] += Fraction(1, 10**9)
-        return Pmf(params, probs)
+        return exact.Pmf(params, probs)
 
     direct = exact.pmf_direct
     monkeypatch.setattr(exact, "pmf_direct", moved)
