@@ -22,11 +22,17 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=2)
     args = ap.parse_args()
 
+    try:
+        results = {
+            N: averaging_recursion_limit(args.alpha, args.beta, args.k, N)
+            for N in (10**3, 10**4, 10**5, 10**6)
+        }
+    except ValueError as e:
+        ap.error(str(e))
     print(f"alpha={args.alpha} beta={args.beta} k={args.k} "
-          f"limit={args.alpha * (args.beta + 1) / (args.beta - 1)}\n")
+          f"limit={results[10**3].predicted_limit}\n")
     print(f"{'N':>9} {'gap':>12} {'gap*N/log(N)':>14}")
-    for N in (10**3, 10**4, 10**5, 10**6):
-        res = averaging_recursion_limit(args.alpha, args.beta, args.k, N)
+    for N, res in results.items():
         print(f"{N:>9} {res.gap:>12.4e} {res.gap * N / math.log(N):>14.3f}")
 
 

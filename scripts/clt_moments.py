@@ -33,14 +33,14 @@ def main() -> None:
     args = ap.parse_args()
 
     k = args.k
-    try:
-        c = _parse_projection(args.projection) or (1.0,) * (k - 1)
-    except ValueError as e:
-        ap.error(str(e))
     grid = [50, 100, 200, 400, 800, 5000, 20000]
     sim_n = 800  # the simulation column stays here, so the run time does not grow with the grid
-
-    table = projected_moment_recursion(list(c), k, grid[-1], order=8)
+    try:
+        c = _parse_projection(args.projection) or (1.0,) * (k - 1)
+        table = projected_moment_recursion(list(c), k, grid[-1], order=8)
+        config = SimConfig(ProcessParams(sim_n, k), args.reps, args.seed, projection=c)
+    except ValueError as e:
+        ap.error(str(e))
     import numpy as np
 
     cvec = np.asarray(c)
@@ -57,9 +57,7 @@ def main() -> None:
             row += f"  {v - want:>12.5f}"
         print(row + "   (recursion, deviation from normal)")
 
-    stats = simulate_batch(
-        SimConfig(ProcessParams(sim_n, k), args.reps, args.seed, projection=c)
-    )
+    stats = simulate_batch(config)
     row = f"{sim_n:>6}"
     for m in range(3, 9):
         v = stats.std_moments[m]

@@ -9,7 +9,7 @@ import time
 
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import ProcessParams
-from spacings.simulate import state_counter
+from spacings.simulate import SimConfig, state_counter
 
 
 def main() -> None:
@@ -17,6 +17,10 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=20250811)
     args = ap.parse_args()
+    try:
+        SimConfig(ProcessParams(8, 2), args.reps, args.seed)  # checks both before any output
+    except ValueError as e:
+        ap.error(str(e))
 
     cases = [(n, k) for k in (2, 3, 4) for n in (8, 10, 12)]
     print(f"{'n':>4} {'k':>3} {'states':>7} {'tv':>10} {'chi2':>10} {'dof':>4} "

@@ -135,72 +135,16 @@ _CSV_SCHEMAS = {
 }
 
 
-def _json_pieces(obj: Any, indent: str, out: list[str]) -> None:
-    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2)`` to ``out``.
+def _array_text(arr: np.ndarray, indent: str) -> str:
+    """What ``json.dumps(arr.tolist(), indent=2)`` writes on a line indented by ``indent``.
 
-    ``indent`` is the indentation of the line ``obj`` starts on.  Scalars
-    and keys go through ``json.dumps`` itself, so escaping, NaN/Infinity
-    and big ints read exactly as the standard encoder writes them.  A list
-    of finite floats, or a float array with finite entries, is written in
-    one join; any other array is written as its ``tolist()``.
+    ``arr`` is a float array with finite entries and no empty axis.  One
+    join interleaves the float reprs with separators built once from the
+    shape: a comma, a newline and the indent inside a row, and the runs of
+    ``]`` and ``[`` where axes wrap.
     """
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, value in sorted(obj.items()):
-            # non-str keys become their JSON text, quoted, as the encoder does
-            out += (sep, json.dumps(key if isinstance(key, str) else json.dumps(key)), ": ")
-            _json_pieces(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(obj, np.ndarray):
-        text = None
-        if obj.ndim and obj.size and obj.dtype.kind == "f":
-            text = _float_join(obj.ravel().tolist(), obj.shape, indent)
-        if text is not None:
-            out.append(text)
-        else:
-            _json_pieces(obj.tolist(), indent, out)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        # a flat float list, such as simulate's (k-1)^2 covariance entries at large k
-        text = _float_join(obj, (len(obj),), indent)
-        if text is not None:
-            out.append(text)
-            return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        out.append("[\n" + inner)
-        for i, item in enumerate(obj):
-            if i:
-                out.append(sep)
-            _json_pieces(item, inner, out)
-        out.append("\n" + indent + "]")
-    else:
-        out.append(json.dumps(obj))
-
-
-def _float_join(values: Sequence, shape: tuple[int, ...], indent: str) -> str | None:
-    """The JSON text of ``values`` nested in ``shape`` if all are finite floats, else None.
-
-    ``values`` lists the entries in row-major order, and no axis of
-    ``shape`` is empty.  The text is what ``json.dumps(..., indent=2)``
-    writes for the nested lists on a line indented by ``indent``.  One join
-    interleaves the float reprs with separators built once from the shape:
-    a comma, a newline and the indent inside a row, and the runs of ``]``
-    and ``[`` where axes wrap.
-    """
-    if not isinstance(values[0], float):
-        return None
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an item that is not a float
-        return None
+    shape = arr.shape
+    texts = list(map(float.__repr__, arr.ravel().tolist()))
     pad = [indent + "  " * level for level in range(len(shape) + 1)]
     opens = ["[\n" + pad[level + 1] for level in range(len(shape))]
     closes = ["\n" + pad[level] + "]" for level in range(len(shape))]
@@ -213,20 +157,35 @@ def _float_join(values: Sequence, shape: tuple[int, ...], indent: str) -> str | 
     pieces[1::2] = texts
     pieces[2:-1:2] = seps
     pieces[-1] = "".join(reversed(closes))
-    text = "".join(pieces)
-    # only nan and inf put an "n" in a float repr; JSON spells them NaN/Infinity
-    return None if "n" in text else text
+    return "".join(pieces)
 
 
 def render(envelope: dict, fmt: str) -> str:
     """Serialize an envelope; JSON carries provenance, CSV the payload only.
 
     The JSON text is exactly ``json.dumps(envelope, sort_keys=True,
-    indent=2)`` plus a newline.
+    indent=2)`` plus a newline, each array written as its ``tolist()``.
+    The standard encoder writes all of it but the float arrays with finite
+    entries, such as the moment tables: it writes a placeholder string for
+    each, which is then replaced by the ``_array_text`` of the array.
     """
     if fmt == "json":
-        out: list[str] = []
-        _json_pieces(envelope, "", out)
+        tag = os.urandom(16).hex()  # random, so no string of the envelope reads as a placeholder
+        arrays: list[np.ndarray] = []
+
+        def stash(obj: Any) -> Any:
+            floats = isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size
+            if floats and np.isfinite(obj).all():
+                arrays.append(obj)
+                return tag
+            return np.ndarray.tolist(obj)  # a TypeError for anything but an array
+
+        text = json.dumps(envelope, sort_keys=True, indent=2, default=stash)
+        head, *tails = text.split(f'"{tag}"')  # the encoder calls stash in output order
+        out = [head]
+        for arr, tail in zip(arrays, tails):
+            line = out[-1][out[-1].rfind("\n") + 1 :]
+            out += (_array_text(arr, line[: len(line) - len(line.lstrip(" "))]), tail)
         out.append("\n")
         return "".join(out)
     tool = envelope["tool"].split()[-1]

@@ -391,7 +391,8 @@ def projected_moment_recursion(
             raw[done:] = _moments_from_cumulants(kap, binom)
     if not np.isfinite(raw).all():
         raise OverflowError(
-            "projected moment recursion left double range; lower order or n_max"
+            "projected moment recursion left double range; "
+            "lower the order, n_max or the projection's scale"
         )
     central = np.zeros((n_max + 1, W))
     central[1:done] = _recenter(table[1:, W:], binom)

@@ -421,7 +421,10 @@ def simulate_batch(config: SimConfig) -> SampleStats:
     var_p = np.maximum(central[2 * np.arange(order + 1)] - central[: order + 1] ** 2, 0.0)
     std_se = np.sqrt(var_p / m) * scale ** np.arange(order + 1)
     if not all(np.isfinite(a).all() for a in (pow_sums, std, std_se)):
-        raise OverflowError(f"moments to order {2 * order} left double range; lower the order")
+        raise OverflowError(
+            f"moments to order {2 * order} left double range; "
+            "lower the order or the projection's scale"
+        )
 
     rng_id = (
         f"numpy {np.__version__} PCG64/SeedSequence(entropy=seed, spawn_key=(chunk,)), "

@@ -4,11 +4,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -255,6 +258,11 @@ def test_rule_node_count_over_max_exits_2(capsys):
         (("simulate", "--n", "10", "--k", "2", "--order", str(MAX_ORDER // 2 + 1)),
          f"2..{MAX_ORDER // 2}, got {MAX_ORDER // 2 + 1}"),
         (("simulate", "--n", "10", "--k", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
+        # the projection's scale, not the order, takes these out of double range
+        (("moments", "--k", "2", "--n-max", "400", "--tables", "projected",
+          "--projection", "1e40"), "lower the order, n_max or the projection's scale"),
+        (("simulate", "--n", "10", "--k", "2", "--replications", "5", "--projection", "1e308"),
+         "lower the order or the projection's scale"),
     ],
 )
 def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
@@ -262,6 +270,30 @@ def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT_ERRORS = [
+    (("clt_moments.py", "--k", "3", "--projection", "1"), "projection must have length 2"),
+    (("clt_moments.py", "--k", "1"), f"k must lie in 2..{MAX_K}, got 1"),
+    (("averaging_gap.py", "--beta", "1"), "beta must exceed 1, got beta=1.0"),
+    (("averaging_gap.py", "--k", "1"), f"k must lie in 2..{MAX_K}, got 1"),
+    (("sim_vs_exact.py", "--reps", "0"), "replications must be >= 1"),
+    (("sim_vs_exact.py", "--seed", "-1"), "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", SCRIPT_ERRORS, ids=[" ".join(argv) for argv, _ in SCRIPT_ERRORS]
+)
+def test_scripts_exit_2_on_invalid_input(capsys, monkeypatch, argv, message):
+    script, *args = argv
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"{script}: error: {message}" in captured.err
 
 
 def _stdlib_json(obj) -> str:
@@ -281,10 +313,10 @@ _SCALARS = st.one_of(
     st.text(),
     _TRICKY_TEXT,
 )
-# lists of floats take the one-join path; ints and np.float64 items mix in
+# lists are written by the standard encoder; ints and np.float64 items mix in
 _ROWS = st.lists(_FLOATS | _FLOATS.map(np.float64) | st.integers(), max_size=6)
-# float arrays take the one-join path; ints, non-finite entries, 0-d and
-# zero-size arrays go through tolist()
+# float arrays with finite entries, 0-d ones too, are joined in one pass; ints,
+# non-finite entries and zero-size arrays go to the standard encoder as their tolist()
 _ARRAYS = st.sampled_from(["float64", "float32", "float16", "int64"]).flatmap(
     lambda dtype: hnp.arrays(
         dtype,
@@ -307,6 +339,17 @@ _TREES = st.recursive(
 # hypothesis casts float64 draws into float16/float32 arrays; overflow to inf is wanted
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @given(st.dictionaries(_KEYS, _TREES, max_size=6))
+# strings shaped like a placeholder (32 hex digits, with an index or without), bare and quoted
+@example({
+    "0" * 32 + "0": "0123456789abcdef" * 2 + "0",
+    "b": "f" * 32,
+    "q": '"' + "f" * 32 + '1"',
+    "a": np.ones(2),
+})
+# arrays three lists deep, beside empty containers and a zero-size array
+@example({"x": [[[np.arange(6.0).reshape(2, 3)]], [], {}, np.zeros((0, 2)), [[np.ones(1)]]]})
+# a non-finite array and a 0-d array inside a list
+@example({"y": [np.array([1.0, np.nan, -np.inf]), np.array(2.5), np.array([0.5])]})
 def test_json_render_matches_stdlib_bytes(env):
     assert render(env, "json") == _stdlib_json(env)
 
