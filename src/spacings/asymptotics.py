@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .moments import _check_k, cov_rates_by_extrapolation, rates_by_extrapolation
+from .moments import _check_k, cov_rates_by_extrapolation, mean_recursion
 
 __all__ = [
     "GaussLegendreRule",
@@ -330,20 +330,16 @@ def constants_by_quadrature(
     )
 
 
-def constants_by_extrapolation(k: int, n_max: int = 300) -> AsymptoticConstants:
-    r = rates_by_extrapolation(k, n_max)
-    c = cov_rates_by_extrapolation(k, n_max)
+def constants_by_extrapolation(k: int) -> AsymptoticConstants:
+    """Both rates read at the row n0 where one cross table settles, built once."""
+    c = cov_rates_by_extrapolation(k)
+    rates = mean_recursion(k, c.n_used).rate(c.n_used)
     j = np.arange(1, k)
     return AsymptoticConstants(
         k=k,
-        rates=r.value,
+        rates=rates,
         cov_rates=c.value,
-        vacancy_rate=float(j @ r.value),
+        vacancy_rate=float(j @ rates),
         provenance="extrapolation",
-        diagnostics={
-            "n_max": n_max,
-            "rate_gap": r.gap,
-            "cov_gap": c.gap,
-            "stabilized": bool(r.stabilized and c.stabilized),
-        },
+        diagnostics={"continued_from": c.n_used},
     )

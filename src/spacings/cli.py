@@ -254,7 +254,6 @@ def _parser() -> argparse.ArgumentParser:
     ay.add_argument("--k", type=int, required=True)
     ay.add_argument("--nodes", type=int, default=asy.DEFAULT_OUTER_NODES)
     ay.add_argument("--inner-nodes", type=int, default=asy.DEFAULT_INNER_NODES)
-    ay.add_argument("--n-max", type=int, default=300, help="extrapolation table depth")
     _add_common(ay)
 
     ve = sub.add_parser("verify", help="run the full verification suite")
@@ -263,7 +262,6 @@ def _parser() -> argparse.ArgumentParser:
 
     re = sub.add_parser("report", help="constants table for a range of k")
     re.add_argument("--k-max", type=int, default=8)
-    re.add_argument("--n-max", type=int, default=300)
     _add_common(re)
     return p
 
@@ -374,7 +372,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if "mean" in wanted:
         tables.append({"table": "mean", "values": moments.mean_recursion(k, n_max).values})
     if "cov" in wanted:
-        tables.append({"table": "cov", "values": moments.cross_moment_recursion(k, n_max).cov})
+        ct = moments.cross_moment_recursion(k, n_max)
+        tables.append({"table": "cov", "values": ct.cov})
+        diagnostics["cov"] = {"continued_from": ct.continued_from}
     if "projected" in wanted:
         proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
         pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
@@ -403,10 +403,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 def _cmd_asympt(args: argparse.Namespace) -> int:
     quad = asy.constants_by_quadrature(args.k, args.nodes, args.inner_nodes)
-    ext = asy.constants_by_extrapolation(args.k, args.n_max)
+    ext = asy.constants_by_extrapolation(args.k)
     env = build_envelope(
         "asympt",
-        {"k": args.k, "nodes": args.nodes, "inner_nodes": args.inner_nodes, "n_max": args.n_max},
+        {"k": args.k, "nodes": args.nodes, "inner_nodes": args.inner_nodes},
         _constants_block(args.k, quad, ext),
     )
     _write(env, args.out, args.format)
@@ -440,14 +440,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     moments._check_k(args.k_max)  # before any block is computed
     blocks = [
-        _constants_block(
-            k, asy.constants_by_quadrature(k), asy.constants_by_extrapolation(k, args.n_max)
-        )
+        _constants_block(k, asy.constants_by_quadrature(k), asy.constants_by_extrapolation(k))
         for k in range(2, args.k_max + 1)
     ]
-    env = build_envelope(
-        "report", {"k_max": args.k_max, "n_max": args.n_max}, {"constants": blocks}
-    )
+    env = build_envelope("report", {"k_max": args.k_max}, {"constants": blocks})
     _write(env, args.out, args.format)
     return 0
 
@@ -464,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except (ValueError, exact.CapExceededError, OverflowError) as err:
+    except (ValueError, exact.CapExceededError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

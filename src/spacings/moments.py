@@ -6,10 +6,10 @@ independent shorter rows.  Averaging over the split point turns each moment
 of the terminal counts into an average of products of lower-n moments,
 which we evaluate exactly, either in float64 or in rational arithmetic.
 
-Expected counts grow linearly; dividing row-n tables by (n+k) and reading
-off the value at large n ("extrapolation") recovers the limiting constants
-to near machine precision because the finite-n correction dies off faster
-than any geometric rate.
+Expected counts and covariances grow linearly, with a finite-n correction
+that dies off faster than any geometric rate.  So the covariance table stops
+where its rates cov[n]/(n+k) settle, and the limiting constants
+("extrapolation") are the rates at that row, to near machine precision.
 
 The same holds for every cumulant of a projection c . X_n: the projected
 recursion, centred on the asymptote of its mean, builds its later raw and
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "averaging_recursion_limit",
     "mean_drift_bound",
     "STABILIZATION_LOOKBACK",
-    "STABILIZATION_TOL",
     "CONTINUATION_TOL",
     "MAX_K",
     "MAX_N_MAX",
@@ -56,9 +55,8 @@ __all__ = [
 ]
 
 STABILIZATION_LOOKBACK = 10
-STABILIZATION_TOL = 1e-8
-# largest gap, in units of the standardized law, between the projected
-# recursion's rows and its cumulant rates continued, at which the rates take over
+# largest gap, in units of the standardized law, between a table's rows and
+# its rates continued, at which the rates take over
 CONTINUATION_TOL = 1e-12
 # Largest arguments the recursions and quadratures accept, checked before
 # anything is allocated; README "Numerical notes" gives the run times and
@@ -103,6 +101,7 @@ class CrossMomentTable:
     k: int
     second: np.ndarray  # (n_max+1, k-1, k-1)
     cov: np.ndarray  # same shape
+    continued_from: int | None  # rows past it are cov_rate(continued_from) * (n+k)
 
     def cov_rate(self, n: int) -> np.ndarray:
         return self.cov[n] / (n + self.k)
@@ -131,11 +130,9 @@ class ProjectedMomentTable:
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Large-n table read-out plus a stabilization diagnostic."""
+    """Limiting rates read off a table at the row ``n_used`` where they settle."""
 
     value: np.ndarray
-    gap: float
-    stabilized: bool
     n_used: int
 
 
@@ -208,12 +205,18 @@ def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
     second[n] = 2/(n-k+1) * sum_h second[h]
               + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose).
 
-    The table is symmetric, so only entries i <= j are computed.  The mean
-    term is a convolution of mean columns i and j; it is computed for every
-    n before the loop, one direct ``np.convolve`` per entry.  Rows
+    The table is symmetric, so only entries i <= j are computed.  Rows
     n..n+k-1 read only rows <= n-1 (the first block leaves at most n-k
     hooks on either side), so each step of the loop fills k rows from a
-    running sum of second moments, compensated (Kahan) across steps.
+    running sum of second moments, and the mean term of just those rows.
+
+    Each covariance is Sigma (n+k) plus a remainder that dies faster than
+    geometrically.  So the loop stops at the first step whose last row t has
+    rates Sigma = cov[t]/(t+k) within ``CONTINUATION_TOL`` of those
+    ``STABILIZATION_LOOKBACK`` rows earlier, entry (i, j) in units of
+    sqrt(Sigma_ii Sigma_jj).  Then ``continued_from`` is t, and later rows
+    are cov[s] = Sigma (s+k) and second[s] = cov[s] + outer(mean[s], mean[s]);
+    else the loop runs to n_max and ``continued_from`` is None.
     """
     _check_kn(k, n_max)
     g = mean_recursion(k, n_max).values
@@ -226,26 +229,34 @@ def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
     for n in range(1, min(k, n_max + 1)):
         packed[n, pair[n - 1, n - 1]] = 1.0
     steps = n_max - k + 1  # rows k..n_max, one per split length L = 1..steps
-    if steps > 0:
-        # split[L-1] = sum_h outer(mean[h], mean[L-1-h]) + transpose
-        conv = [np.convolve(g[:steps, i], g[:steps, j])[:steps] for i, j in zip(i_idx, j_idx)]
-        split = 2.0 * np.array(conv).T
-        # prefix sums of a block as one product with a lower-triangular
-        # matrix of ones (np.cumsum along the rows is slower here)
-        prefix = np.tril(np.ones((k, k)))
-        L = np.arange(1.0, steps + 1.0)[:, None]
-        total = np.zeros(len(i_idx))
-        comp = np.zeros(len(i_idx))
-        for n in range(k, n_max + 1, k):
-            lo, hi = n - k, min(n, steps)
-            y = prefix[: hi - lo, : hi - lo] @ packed[lo:hi] - comp
-            run = total + y
-            packed[n : n + k] = (2.0 * run + split[lo:hi]) / L[lo:hi]
-            comp = (run[-1] - total) - y[-1]
-            total = run[-1]
+    # prefix sums of a block as one product with a lower-triangular matrix
+    # of ones (np.cumsum along the rows is slower here)
+    prefix = np.tril(np.ones((k, k)))
+    total = np.zeros(len(i_idx))
+    n0 = None
+    for n in range(k, n_max + 1, k):
+        lo, hi = n - k, min(n, steps)
+        # the mean term of row m + k: sum_h outer(mean[h], mean[m-h]) + transpose
+        split = [2.0 * (g[: m + 1].T @ g[m::-1])[i_idx, j_idx] for m in range(lo, hi)]
+        run = total + prefix[: hi - lo, : hi - lo] @ packed[lo:hi]
+        packed[n : n + k] = (2.0 * run + split) / np.arange(lo + 1.0, hi + 1.0)[:, None]
+        total = run[-1]
+        t = n + hi - lo - 1  # the last row this step filled
+        if t - STABILIZATION_LOOKBACK <= k:
+            continue  # rows up to k are deterministic: no rates to read
+        rows = np.array([t - STABILIZATION_LOOKBACK, t])
+        before, rate = (packed[rows] - g[rows][:, i_idx] * g[rows][:, j_idx]) / (rows[:, None] + k)
+        unit = np.sqrt(np.abs(rate[pair[i_idx, i_idx]] * rate[pair[j_idx, j_idx]]))
+        if (np.abs(rate - before) < CONTINUATION_TOL * unit).all():
+            n0 = t
+            break
+    outer = g[:, :, None] * g[:, None, :]
     second = packed[:, pair]
-    cov = second - g[:, :, None] * g[:, None, :]
-    return CrossMomentTable(k, second, cov)
+    cov = second - outer
+    if n0 is not None:
+        cov[n0 + 1 :] = np.arange(n0 + 1.0 + k, n_max + 1.0 + k)[:, None, None] * rate[pair]
+        second[n0 + 1 :] = cov[n0 + 1 :] + outer[n0 + 1 :]
+    return CrossMomentTable(k, second, cov, n0)
 
 
 def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]]]:
@@ -491,30 +502,27 @@ def projected_moment_recursion_exact(
     return raw
 
 
-def _read_out(rate: Callable[[int], np.ndarray], n_max: int) -> ExtrapolationResult:
-    """``rate(n_max)`` with its change against ``STABILIZATION_LOOKBACK`` rows earlier."""
-    value = rate(n_max)
-    gap = float(np.abs(value - rate(n_max - STABILIZATION_LOOKBACK)).max())
-    return ExtrapolationResult(value, gap, gap < STABILIZATION_TOL, n_max)
+def _settled_table(k: int) -> CrossMomentTable:
+    """The first cross table at depths 64, 128, ... up to ``MAX_N_MAX`` whose rates settle."""
+    n_max = 32
+    while n_max < MAX_N_MAX:
+        n_max = min(2 * n_max, MAX_N_MAX)
+        table = cross_moment_recursion(k, n_max)
+        if table.continued_from is not None:
+            return table
+    raise ArithmeticError(f"the covariance rates of k={k} do not settle by n_max {MAX_N_MAX}")
 
 
-def rates_by_extrapolation(k: int, n_max: int = 200) -> ExtrapolationResult:
-    """Limiting spacing rates read off a finite mean table.
-
-    Returns mean[n_max]/(n_max+k) together with the change against the row
-    ``STABILIZATION_LOOKBACK`` earlier; a gap above ``STABILIZATION_TOL``
-    marks the read-out as not stabilized.
-    """
-    if n_max <= k + STABILIZATION_LOOKBACK:
-        raise ValueError("n_max too small to diagnose stabilization")
-    return _read_out(mean_recursion(k, n_max).rate, n_max)
+def rates_by_extrapolation(k: int) -> ExtrapolationResult:
+    """Limiting spacing rates, mean[n0]/(n0+k) at the row n0 where the cross table settles."""
+    n0 = _settled_table(k).continued_from
+    return ExtrapolationResult(mean_recursion(k, n0).rate(n0), n0)
 
 
-def cov_rates_by_extrapolation(k: int, n_max: int = 200) -> ExtrapolationResult:
-    """Limiting covariance rates read off a finite covariance table."""
-    if n_max <= k + STABILIZATION_LOOKBACK:
-        raise ValueError("n_max too small to diagnose stabilization")
-    return _read_out(cross_moment_recursion(k, n_max).cov_rate, n_max)
+def cov_rates_by_extrapolation(k: int) -> ExtrapolationResult:
+    """Limiting covariance rates, the cross table's rates where they settle."""
+    n0 = (table := _settled_table(k)).continued_from
+    return ExtrapolationResult(table.cov_rate(n0), n0)
 
 
 def averaging_recursion_limit(

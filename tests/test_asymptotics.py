@@ -182,7 +182,7 @@ def test_cov_kernel_is_the_quadrature_integrand():
 def test_quadrature_and_extrapolation_agree():
     for k in (2, 3):
         q = constants_by_quadrature(k)
-        e = constants_by_extrapolation(k, n_max=400)
+        e = constants_by_extrapolation(k)
         assert q.rates == pytest.approx(e.rates, abs=1e-8)
         assert q.cov_rates == pytest.approx(e.cov_rates, abs=1e-7)
         assert q.vacancy_rate == pytest.approx(e.vacancy_rate, abs=1e-8)
@@ -192,11 +192,24 @@ def test_quadrature_and_extrapolation_agree():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_extrapolation_shares_its_mean_table(k):
-    # the constants carry the covariance rates of cov_rates_by_extrapolation,
-    # bit for bit; its rates and covariances read equal (k, n_max) mean
-    # tables, each built where it is used, none handed over
-    want = moments.cov_rates_by_extrapolation(k, 300).value
-    assert np.array_equal(constants_by_extrapolation(k, 300).cov_rates, want)
+    # the constants carry the rates of rates_by_extrapolation and
+    # cov_rates_by_extrapolation, bit for bit, read at the row where the
+    # cross table settles; each table is built where it is used
+    c = constants_by_extrapolation(k)
+    cov = moments.cov_rates_by_extrapolation(k)
+    assert c.diagnostics == {"continued_from": cov.n_used}
+    assert np.array_equal(c.cov_rates, cov.value)
+    assert np.array_equal(c.rates, moments.rates_by_extrapolation(k).value)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 24, 32, 48, 64])
+def test_extrapolation_meets_quadrature_within_its_error(k):
+    # the settled rates are as good as the quadrature's own error estimate
+    q = constants_by_quadrature(k)
+    e = constants_by_extrapolation(k)
+    cov_tol = q.diagnostics["cov_est_abs_error"] + 1e-15
+    assert np.abs(e.cov_rates - q.cov_rates).max() < cov_tol
+    assert np.abs(e.rates - q.rates).max() < 1e-15
 
 
 T_GRID = np.linspace(-5, 5, 41)

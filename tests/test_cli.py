@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spacings import cli, exact, simulate
+from spacings import cli, exact, moments, simulate
 from spacings.asymptotics import MAX_RULE_NODES
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
@@ -127,9 +127,17 @@ def test_moments_projected_table_reports_its_continuation(tmp_path):
     assert raw[20000][1] == pytest.approx(rates[1] * 20002, rel=1e-12)
 
 
-def test_moments_diagnostics_stay_empty_without_projected(capsys):
-    code, env = run_json(capsys, "moments", "--k", "2", "--n-max", "100", "--tables", "mean,cov")
+def test_moments_diagnostics_stay_empty_for_the_mean_table(capsys):
+    code, env = run_json(capsys, "moments", "--k", "2", "--n-max", "100", "--tables", "mean")
     assert code == 0 and env["diagnostics"] == {}
+
+
+def test_moments_cov_table_reports_its_continuation(capsys):
+    code, env = run_json(capsys, "moments", "--k", "2", "--n-max", "100", "--tables", "cov")
+    assert code == 0
+    n0 = moments.cross_moment_recursion(2, 100).continued_from
+    assert env["diagnostics"] == {"cov": {"continued_from": n0}}
+    assert 0 < n0 < 100
 
 
 def test_moments_rejects_unknown_table(capsys):
@@ -140,16 +148,28 @@ def test_moments_rejects_unknown_table(capsys):
 
 
 def test_asympt_both_routes(capsys):
-    code, env = run_json(capsys, "asympt", "--k", "2", "--n-max", "200")
+    code, env = run_json(capsys, "asympt", "--k", "2")
     assert code == 0
     p = env["payload"]
     assert p["quadrature"]["rates"][0] == pytest.approx(math.exp(-2), abs=1e-12)
     assert p["route_gap"]["rates"] < 1e-8
     assert p["quadrature"]["identity_gap"] < 1e-12
+    assert env["config"] == {"k": 2, "nodes": 128, "inner_nodes": 64}
+    n0 = moments.cov_rates_by_extrapolation(2).n_used
+    assert p["extrapolation"]["diagnostics"] == {"continued_from": n0}
+
+
+@pytest.mark.parametrize("argv", [("asympt", "--k", "2"), ("report", "--k-max", "2")])
+def test_constants_commands_take_no_table_depth(capsys, argv):
+    # the extrapolation reads each table where its rates settle
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--n-max", "300"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --n-max 300" in capsys.readouterr().err
 
 
 def test_report_csv(capsys):
-    code, out = run(capsys, "report", "--k-max", "2", "--n-max", "120", "--format", "csv")
+    code, out = run(capsys, "report", "--k-max", "2", "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "k,quantity,route,i,j,value"
@@ -364,8 +384,8 @@ def test_json_render_matches_stdlib_non_str_keys():
     [
         ("exact", "--n", "12", "--k", "3", "--compare"),
         ("moments", "--k", "3", "--n-max", "40", "--tables", "mean,cov,projected"),
-        ("asympt", "--k", "3", "--n-max", "120"),
-        ("report", "--k-max", "3", "--n-max", "120"),
+        ("asympt", "--k", "3"),
+        ("report", "--k-max", "3"),
         ("simulate", "--n", "12", "--k", "3", "--replications", "500"),
         ("verify", "--quick"),
     ],

@@ -87,11 +87,9 @@ def test_mean_rate_reaches_limit_k2():
 
 
 def test_rates_by_extrapolation_reports_stability():
-    res = rates_by_extrapolation(2, 400)
-    assert res.stabilized
-    assert res.n_used == 400
+    res = rates_by_extrapolation(2)
+    assert res.n_used == cov_rates_by_extrapolation(2).n_used  # the row the cross table settles at
     assert res.value[0] == pytest.approx(math.exp(-2), abs=1e-10)
-    assert res.gap < 1e-10
 
 
 def test_cross_moments_match_enumerator():
@@ -134,9 +132,39 @@ def test_cross_moments_match_exact_at_every_table_end(k):
 
 
 def test_cov_rate_reaches_limit_k2():
-    res = cov_rates_by_extrapolation(2, 300)
+    res = cov_rates_by_extrapolation(2)
     assert res.value[0][0] == pytest.approx(4 * math.exp(-4), abs=1e-10)
-    assert res.stabilized
+
+
+def test_cov_rate_k2_holds_from_the_switch_to_the_largest_table():
+    t = cross_moment_recursion(2, MAX_N_MAX)
+    n = np.arange(t.continued_from, MAX_N_MAX + 1)
+    rel = t.cov[n, 0, 0] / (n + 2) / (4 * math.exp(-4)) - 1
+    assert np.abs(rel).max() < 2e-14
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cross_table_switches_and_keeps_its_rows(monkeypatch, k):
+    t = cross_moment_recursion(k, 2000)
+    n0 = t.continued_from
+    assert n0 is not None
+    monkeypatch.setattr(moments, "CONTINUATION_TOL", 0.0)
+    full = cross_moment_recursion(k, 2000)
+    assert full.continued_from is None
+    # the rows the loop filled are the full recursion's, bit for bit
+    assert np.array_equal(t.second[: n0 + 1], full.second[: n0 + 1])
+    assert np.array_equal(t.cov[: n0 + 1], full.cov[: n0 + 1])
+    # later rows are the rates at n0 times n+k
+    n = np.arange(n0 + 1, 2001)[:, None, None]
+    assert np.array_equal(t.cov[n0 + 1 :], t.cov_rate(n0) * (n + k))
+
+
+def test_extrapolation_raises_when_no_table_settles(monkeypatch):
+    monkeypatch.setattr(moments, "CONTINUATION_TOL", 0.0)
+    monkeypatch.setattr(moments, "MAX_N_MAX", 200)
+    for read in (rates_by_extrapolation, cov_rates_by_extrapolation):
+        with pytest.raises(ArithmeticError, match="do not settle by n_max 200"):
+            read(2)
 
 
 def test_projected_raw_matches_enumerator():
