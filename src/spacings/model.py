@@ -9,7 +9,6 @@ each length 1..k-1 remain and by the number of blocks placed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -78,17 +77,15 @@ def validate_counts(params: ProcessParams, g: GapCounts) -> bool:
 
     Checks shape, non-negativity, hook conservation, that at least one block
     was placed whenever the row could take one, and the forced single-run
-    shape for rows shorter than ``k``.  Called once per simulated row by the
-    conservation check, so the body avoids generator expressions.
+    shape for rows shorter than ``k``.
     """
     n, k = params.n, params.k
-    counts, hats = g.counts, g.hats
-    if len(counts) != k - 1 or hats < 0 or min(counts) < 0:
+    if len(g.counts) != k - 1 or g.hats < 0 or min(g.counts) < 0:
         return False
-    if k * hats + sum(map(mul, counts, range(1, k))) != n:
+    if k * g.hats + vacancy(g) != n:
         return False
     if n >= k:
-        return hats >= 1
+        return g.hats >= 1
     return g == single_spacing_state(n, k)
 
 

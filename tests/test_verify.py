@@ -1,12 +1,15 @@
 """Verification checks 04 and 12: the same verdicts at any worker count, and check 12 can fail.
 
+Check 12 validates each distinct state of a chunk once and counts every row.
+
 Also: a check that overruns its budget fails.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from spacings import simulate, verify
+from spacings import exact, simulate, verify
 from spacings.model import ProcessParams, validate_counts
 
 
@@ -57,6 +60,54 @@ def test_check_12_reports_the_first_invalid_row_in_chunk_order(monkeypatch):
         result = verify.check_conservation_at_scale(total)
         assert not result.passed
         assert result.measured == want
+
+
+# a hand-built (10, 3) chunk: three valid states, one of them three times
+_CHUNK = (
+    np.array([[1, 0], [0, 2], [1, 0], [2, 1], [0, 2], [1, 0]]),
+    np.array([3, 2, 3, 2, 2, 3]),
+)
+
+
+def test_validate_chunk_validates_each_distinct_state_once(monkeypatch):
+    seen = []
+
+    def validator(params, state):
+        seen.append(state)
+        return validate_counts(params, state)
+
+    monkeypatch.setattr(verify, "validate_counts", validator)
+    counts, hats = _CHUNK
+    rows, _ = verify._validate_chunk(ProcessParams(10, 3), counts, hats)
+    assert rows == counts.shape[0]
+    assert sorted(seen) == sorted({(tuple(r), h) for r, h in zip(counts.tolist(), hats.tolist())})
+
+
+def test_validate_chunk_reports_a_lone_invalid_state_in_the_last_row():
+    counts = np.vstack([_CHUNK[0], [[0, 0]]])
+    hats = np.append(_CHUNK[1], 3)  # 3 * 3 hooks of 10: not conserved
+    rows, _ = verify._validate_chunk(ProcessParams(10, 3), counts, hats)
+    assert rows == "state [0, 0], hats=3 invalid for ProcessParams(n=10, k=3)"
+
+
+@pytest.mark.parametrize("lost", [1, -1])  # a row dropped, a row counted twice
+def test_check_12_fails_when_the_collapse_miscounts_a_row(lost, monkeypatch):
+    collapse = exact.empirical_counter
+    chunks = []
+
+    def miscounting(counts, hats):
+        chunks.append(counts.shape[0])
+        counter = collapse(counts, hats)
+        counter[next(iter(counter))] -= lost
+        return counter
+
+    monkeypatch.setattr(exact, "empirical_counter", miscounting)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)  # in-process, so the calls are seen
+    total = 200_000
+    result = verify.check_conservation_at_scale(total)
+    assert sum(chunks) == total
+    assert not result.passed
+    assert result.measured == f"{total - lost * len(chunks):,} states validated"
 
 
 def test_a_check_that_overruns_its_budget_fails():
