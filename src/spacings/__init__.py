@@ -29,11 +29,9 @@ from .moments import (
     AveragingLimitResult,
     CrossMomentTable,
     DriftBoundResult,
-    ExtrapolationResult,
     MeanTable,
     ProjectedMomentTable,
     averaging_recursion_limit,
-    cov_rates_by_extrapolation,
     cross_moment_recursion,
     cross_moment_recursion_exact,
     mean_drift_bound,
@@ -41,7 +39,6 @@ from .moments import (
     mean_recursion_exact,
     projected_moment_recursion,
     projected_moment_recursion_exact,
-    rates_by_extrapolation,
 )
 from .asymptotics import (
     AsymptoticConstants,
@@ -89,7 +86,6 @@ __all__ = [
     "MeanTable",
     "CrossMomentTable",
     "ProjectedMomentTable",
-    "ExtrapolationResult",
     "AveragingLimitResult",
     "DriftBoundResult",
     "mean_recursion",
@@ -98,8 +94,6 @@ __all__ = [
     "cross_moment_recursion_exact",
     "projected_moment_recursion",
     "projected_moment_recursion_exact",
-    "rates_by_extrapolation",
-    "cov_rates_by_extrapolation",
     "averaging_recursion_limit",
     "mean_drift_bound",
     "GaussLegendreRule",

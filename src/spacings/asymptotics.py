@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .moments import _check_k, cov_rates_by_extrapolation, mean_recursion
+from . import moments
+from .moments import _check_k, _pair_columns, _settled_rows
 
 __all__ = [
     "GaussLegendreRule",
@@ -331,15 +332,22 @@ def constants_by_quadrature(
 
 
 def constants_by_extrapolation(k: int) -> AsymptoticConstants:
-    """Both rates read at the row n0 where one cross table settles, built once."""
-    c = cov_rates_by_extrapolation(k)
-    rates = mean_recursion(k, c.n_used).rate(c.n_used)
-    j = np.arange(1, k)
+    """Both rates read at the row t where the cross table settles, from one pass of its loop.
+
+    The loop runs as deep as it needs, up to ``moments.MAX_N_MAX`` rows; it
+    raises ``ArithmeticError`` when the rates do not settle by then.
+    """
+    g, packed, t = _settled_rows(k, moments.MAX_N_MAX)
+    if t is None:
+        raise ArithmeticError(
+            f"the covariance rates of k={k} do not settle by n_max {moments.MAX_N_MAX}"
+        )
+    rates = g[t] / (t + k)
     return AsymptoticConstants(
         k=k,
         rates=rates,
-        cov_rates=c.value,
-        vacancy_rate=float(j @ rates),
+        cov_rates=(packed[t, _pair_columns(k - 1)] - np.outer(g[t], g[t])) / (t + k),
+        vacancy_rate=float(np.arange(1, k) @ rates),
         provenance="extrapolation",
-        diagnostics={"continued_from": c.n_used},
+        diagnostics={"continued_from": t},
     )

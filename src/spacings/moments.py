@@ -34,7 +34,6 @@ __all__ = [
     "MeanTable",
     "CrossMomentTable",
     "ProjectedMomentTable",
-    "ExtrapolationResult",
     "AveragingLimitResult",
     "DriftBoundResult",
     "mean_recursion",
@@ -43,8 +42,6 @@ __all__ = [
     "cross_moment_recursion_exact",
     "projected_moment_recursion",
     "projected_moment_recursion_exact",
-    "rates_by_extrapolation",
-    "cov_rates_by_extrapolation",
     "averaging_recursion_limit",
     "mean_drift_bound",
     "STABILIZATION_LOOKBACK",
@@ -129,14 +126,6 @@ class ProjectedMomentTable:
 
 
 @dataclass(frozen=True)
-class ExtrapolationResult:
-    """Limiting rates read off a table at the row ``n_used`` where they settle."""
-
-    value: np.ndarray
-    n_used: int
-
-
-@dataclass(frozen=True)
 class AveragingLimitResult:
     """Terminal value of the weighted-averaging recursion vs its predicted limit."""
 
@@ -199,64 +188,89 @@ def mean_recursion_exact(k: int, n_max: int) -> list[list[Fraction]]:
     return g
 
 
-def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
-    """Raw second moments of the count vector by split averaging.
-
-    second[n] = 2/(n-k+1) * sum_h second[h]
-              + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose).
-
-    The table is symmetric, so only entries i <= j are computed.  Rows
-    n..n+k-1 read only rows <= n-1 (the first block leaves at most n-k
-    hooks on either side), so each step of the loop fills k rows from a
-    running sum of second moments, and the mean term of just those rows.
-
-    Each covariance is Sigma (n+k) plus a remainder that dies faster than
-    geometrically.  So the loop stops at the first step whose last row t has
-    rates Sigma = cov[t]/(t+k) within ``CONTINUATION_TOL`` of those
-    ``STABILIZATION_LOOKBACK`` rows earlier, entry (i, j) in units of
-    sqrt(Sigma_ii Sigma_jj).  Then ``continued_from`` is t, and later rows
-    are cov[s] = Sigma (s+k) and second[s] = cov[s] + outer(mean[s], mean[s]);
-    else the loop runs to n_max and ``continued_from`` is None.
-    """
-    _check_kn(k, n_max)
-    g = mean_recursion(k, n_max).values
-    d = k - 1
-    # the table is symmetric: each entry i <= j is one column of `packed`
+def _pair_columns(d: int) -> np.ndarray:
+    """pair[i, j]: the column of entry (i, j) in a row packed as its entries i <= j (triu order)."""
     i_idx, j_idx = np.triu_indices(d)
     pair = np.zeros((d, d), dtype=int)
     pair[i_idx, j_idx] = pair[j_idx, i_idx] = np.arange(len(i_idx))
-    packed = np.zeros((n_max + 1, len(i_idx)))
-    for n in range(1, min(k, n_max + 1)):
-        packed[n, pair[n - 1, n - 1]] = 1.0
-    steps = n_max - k + 1  # rows k..n_max, one per split length L = 1..steps
+    return pair
+
+
+def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(mean rows, packed cross rows, t): rows 0..t, t the row where the rates settle.
+
+    The loop of :func:`cross_moment_recursion`, on the entries i <= j of the
+    symmetric table (``_pair_columns``).  Rows n..n+k-1 read only rows <= n-1
+    (the first block leaves at most n-k hooks on either side), so each step
+    fills k rows from a running sum of second moments and the mean term of
+    just those rows.  The loop stops after the first full step whose last
+    row t has rates cov[t]/(t+k) within ``CONTINUATION_TOL`` of those
+    ``STABILIZATION_LOOKBACK`` rows earlier, entry (i, j) in units of
+    sqrt(Sigma_ii Sigma_jj).  Both arrays grow by doubling up to rows
+    0..cap; if no t <= cap settles they hold those rows and t is None.
+    """
+    _check_kn(k, cap)
+    i_idx, j_idx = np.triu_indices(k - 1)
+    diag = np.flatnonzero(i_idx == j_idx)  # the packed column of each entry (i, i)
+    size = min(cap, MAX_K)  # at least k rows, so one doubling covers any step
+    g = mean_recursion(k, size).values
+    packed = np.zeros((size + 1, len(i_idx)))
+    for n in range(1, min(k, size + 1)):
+        packed[n, diag[n - 1]] = 1.0
+    steps = cap - k + 1  # rows k..cap, one per split length L = 1..steps
     # prefix sums of a block as one product with a lower-triangular matrix
     # of ones (np.cumsum along the rows is slower here)
     prefix = np.tril(np.ones((k, k)))
     total = np.zeros(len(i_idx))
-    n0 = None
-    for n in range(k, n_max + 1, k):
+    for n in range(k, cap + 1, k):
+        if n + k > len(packed) and size < cap:  # the step fills rows past the arrays
+            size = min(2 * size, cap)
+            g = mean_recursion(k, size).values
+            packed = np.concatenate([packed, np.zeros((size + 1 - len(packed), len(i_idx)))])
         lo, hi = n - k, min(n, steps)
         # the mean term of row m + k: sum_h outer(mean[h], mean[m-h]) + transpose
         split = [2.0 * (g[: m + 1].T @ g[m::-1])[i_idx, j_idx] for m in range(lo, hi)]
         run = total + prefix[: hi - lo, : hi - lo] @ packed[lo:hi]
         packed[n : n + k] = (2.0 * run + split) / np.arange(lo + 1.0, hi + 1.0)[:, None]
         total = run[-1]
-        t = n + hi - lo - 1  # the last row this step filled
-        if t - STABILIZATION_LOOKBACK <= k:
-            continue  # rows up to k are deterministic: no rates to read
+        t = n + k - 1  # the last row of a full step
+        if hi - lo < k or t - STABILIZATION_LOOKBACK <= k:
+            continue  # a partial last step, or deterministic rows up to k: no trial
         rows = np.array([t - STABILIZATION_LOOKBACK, t])
         before, rate = (packed[rows] - g[rows][:, i_idx] * g[rows][:, j_idx]) / (rows[:, None] + k)
-        unit = np.sqrt(np.abs(rate[pair[i_idx, i_idx]] * rate[pair[j_idx, j_idx]]))
+        unit = np.sqrt(np.abs(rate[diag][i_idx] * rate[diag][j_idx]))
         if (np.abs(rate - before) < CONTINUATION_TOL * unit).all():
-            n0 = t
-            break
-    outer = g[:, :, None] * g[:, None, :]
-    second = packed[:, pair]
-    cov = second - outer
-    if n0 is not None:
-        cov[n0 + 1 :] = np.arange(n0 + 1.0 + k, n_max + 1.0 + k)[:, None, None] * rate[pair]
-        second[n0 + 1 :] = cov[n0 + 1 :] + outer[n0 + 1 :]
-    return CrossMomentTable(k, second, cov, n0)
+            return g[: t + 1], packed[: t + 1], t
+    return g, packed, None
+
+
+def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
+    """Raw second moments of the count vector by split averaging.
+
+    second[n] = 2/(n-k+1) * sum_h second[h]
+              + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose).
+
+    Each covariance is Sigma (n+k) plus a remainder that dies faster than
+    geometrically, so the loop (``_settled_rows``) stops at the row t where
+    the rates Sigma = cov[t]/(t+k) settle; t depends on k alone.  If
+    t <= n_max, ``continued_from`` is t and later rows are cov[s] =
+    Sigma (s+k) and second[s] = cov[s] + outer(mean[s], mean[s]); else the
+    loop runs to n_max and it is None.
+    """
+    g = mean_recursion(k, n_max).values
+    _, packed, t = _settled_rows(k, n_max)
+    pair, done = _pair_columns(k - 1), len(packed)
+    second = g[:, :, None] * g[:, None, :]  # outer(mean[s], mean[s]) until overwritten
+    cov = np.empty_like(second)
+    # mode "clip" (every index is in range) writes straight into out; "raise" buffers it
+    np.take(packed, pair, axis=1, mode="clip", out=cov[:done])
+    cov[:done] -= second[:done]
+    np.take(packed, pair, axis=1, mode="clip", out=second[:done])
+    if t is not None:
+        s_k = np.arange(t + 1.0 + k, n_max + 1.0 + k)[:, None, None]
+        np.multiply(s_k, cov[t] / (t + k), out=cov[done:])
+        second[done:] += cov[done:]
+    return CrossMomentTable(k, second, cov, t)
 
 
 def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]]]:
@@ -500,29 +514,6 @@ def projected_moment_recursion_exact(
                 acc += sum(comb(m, i) * left[i] * right[m - i] for i in range(m + 1))
             raw[n][m] = acc / L
     return raw
-
-
-def _settled_table(k: int) -> CrossMomentTable:
-    """The first cross table at depths 64, 128, ... up to ``MAX_N_MAX`` whose rates settle."""
-    n_max = 32
-    while n_max < MAX_N_MAX:
-        n_max = min(2 * n_max, MAX_N_MAX)
-        table = cross_moment_recursion(k, n_max)
-        if table.continued_from is not None:
-            return table
-    raise ArithmeticError(f"the covariance rates of k={k} do not settle by n_max {MAX_N_MAX}")
-
-
-def rates_by_extrapolation(k: int) -> ExtrapolationResult:
-    """Limiting spacing rates, mean[n0]/(n0+k) at the row n0 where the cross table settles."""
-    n0 = _settled_table(k).continued_from
-    return ExtrapolationResult(mean_recursion(k, n0).rate(n0), n0)
-
-
-def cov_rates_by_extrapolation(k: int) -> ExtrapolationResult:
-    """Limiting covariance rates, the cross table's rates where they settle."""
-    n0 = (table := _settled_table(k)).continued_from
-    return ExtrapolationResult(table.cov_rate(n0), n0)
 
 
 def averaging_recursion_limit(

@@ -76,9 +76,9 @@ def check_mean_rate_k2() -> CheckResult:
     def body() -> tuple[bool, str]:
         target = math.exp(-2.0)
         quad = asy.rates_by_quadrature(2)[0]
-        ext = moments.rates_by_extrapolation(2)
+        ext = asy.constants_by_extrapolation(2)
         gap_q = abs(quad - target)
-        gap_e = abs(float(ext.value[0]) - target)
+        gap_e = abs(float(ext.rates[0]) - target)
         ok = gap_q < 1e-10 and gap_e < 1e-8
         return ok, f"quad_err={gap_q:.3e} (tol 1e-10), extrap_err={gap_e:.3e} (tol 1e-8)"
 
@@ -89,9 +89,9 @@ def check_cov_rate_k2() -> CheckResult:
     def body() -> tuple[bool, str]:
         target = 4.0 * math.exp(-4.0)
         quad = asy.cov_rates_by_quadrature(2).matrix[0, 0]
-        ext = moments.cov_rates_by_extrapolation(2)
+        ext = asy.constants_by_extrapolation(2)
         gap_q = abs(quad - target)
-        gap_e = abs(float(ext.value[0, 0]) - target)
+        gap_e = abs(float(ext.cov_rates[0, 0]) - target)
         ok = gap_q < 1e-8 and gap_e < 1e-8
         return ok, f"quad_err={gap_q:.3e}, extrap_err={gap_e:.3e} (tol 1e-8)"
 

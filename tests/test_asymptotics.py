@@ -190,16 +190,17 @@ def test_quadrature_and_extrapolation_agree():
         assert e.provenance == "extrapolation"
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", [*range(2, 9), 33])
 def test_extrapolation_shares_its_mean_table(k):
-    # the constants carry the rates of rates_by_extrapolation and
-    # cov_rates_by_extrapolation, bit for bit, read at the row where the
-    # cross table settles; each table is built where it is used
+    # both rates are read from the rows of one pass of the cross loop, at the
+    # row t where it settles: the bits of a deeper cross table and of the
+    # mean table at t
+    table = moments.cross_moment_recursion(k, 40 * k)
+    t = table.continued_from
     c = constants_by_extrapolation(k)
-    cov = moments.cov_rates_by_extrapolation(k)
-    assert c.diagnostics == {"continued_from": cov.n_used}
-    assert np.array_equal(c.cov_rates, cov.value)
-    assert np.array_equal(c.rates, moments.rates_by_extrapolation(k).value)
+    assert c.diagnostics == {"continued_from": t}
+    assert np.array_equal(c.cov_rates, table.cov_rate(t))
+    assert np.array_equal(c.rates, moments.mean_recursion(k, t).rate(t))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 24, 32, 48, 64])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spacings import cli, exact, moments, simulate
-from spacings.asymptotics import MAX_RULE_NODES
+from spacings.asymptotics import MAX_RULE_NODES, constants_by_extrapolation
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
 
@@ -155,7 +155,7 @@ def test_asympt_both_routes(capsys):
     assert p["route_gap"]["rates"] < 1e-8
     assert p["quadrature"]["identity_gap"] < 1e-12
     assert env["config"] == {"k": 2, "nodes": 128, "inner_nodes": 64}
-    n0 = moments.cov_rates_by_extrapolation(2).n_used
+    n0 = constants_by_extrapolation(2).diagnostics["continued_from"]
     assert p["extrapolation"]["diagnostics"] == {"continued_from": n0}
 
 

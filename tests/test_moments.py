@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spacings import moments
+from spacings.asymptotics import constants_by_extrapolation
 from spacings.moments import (
     CONTINUATION_TOL,
     MAX_K,
@@ -20,7 +22,6 @@ from spacings.moments import (
     _binomial_rows,
     _recenter,
     averaging_recursion_limit,
-    cov_rates_by_extrapolation,
     cross_moment_recursion,
     cross_moment_recursion_exact,
     mean_drift_bound,
@@ -28,7 +29,6 @@ from spacings.moments import (
     mean_recursion_exact,
     projected_moment_recursion,
     projected_moment_recursion_exact,
-    rates_by_extrapolation,
 )
 
 # frozen from tests/oracles.py: E X_n for k=2, n = 0..8
@@ -86,10 +86,11 @@ def test_mean_rate_reaches_limit_k2():
     assert table.rate(4000) == pytest.approx(math.exp(-2), abs=1e-9)
 
 
-def test_rates_by_extrapolation_reports_stability():
-    res = rates_by_extrapolation(2)
-    assert res.n_used == cov_rates_by_extrapolation(2).n_used  # the row the cross table settles at
-    assert res.value[0] == pytest.approx(math.exp(-2), abs=1e-10)
+def test_extrapolated_rates_report_their_settle_row():
+    res = constants_by_extrapolation(2)
+    # the row the cross table settles at
+    assert res.diagnostics["continued_from"] == cross_moment_recursion(2, 100).continued_from
+    assert res.rates[0] == pytest.approx(math.exp(-2), abs=1e-10)
 
 
 def test_cross_moments_match_enumerator():
@@ -132,8 +133,8 @@ def test_cross_moments_match_exact_at_every_table_end(k):
 
 
 def test_cov_rate_reaches_limit_k2():
-    res = cov_rates_by_extrapolation(2)
-    assert res.value[0][0] == pytest.approx(4 * math.exp(-4), abs=1e-10)
+    res = constants_by_extrapolation(2)
+    assert res.cov_rates[0][0] == pytest.approx(4 * math.exp(-4), abs=1e-10)
 
 
 def test_cov_rate_k2_holds_from_the_switch_to_the_largest_table():
@@ -162,9 +163,29 @@ def test_cross_table_switches_and_keeps_its_rows(monkeypatch, k):
 def test_extrapolation_raises_when_no_table_settles(monkeypatch):
     monkeypatch.setattr(moments, "CONTINUATION_TOL", 0.0)
     monkeypatch.setattr(moments, "MAX_N_MAX", 200)
-    for read in (rates_by_extrapolation, cov_rates_by_extrapolation):
-        with pytest.raises(ArithmeticError, match="do not settle by n_max 200"):
-            read(2)
+    with pytest.raises(ArithmeticError, match="do not settle by n_max 200"):
+        constants_by_extrapolation(2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 33])
+def test_cross_table_switch_row_depends_on_k_alone(k):
+    # trials run only at the end of a full k-row step, so a table that ends
+    # in a partial step reports no switch row of its own
+    t = cross_moment_recursion(k, 40 * k).continued_from
+    for n_max in range(t - 2 * k, t + 2 * k + 1):
+        want = t if n_max >= t else None
+        assert cross_moment_recursion(k, n_max).continued_from == want, n_max
+
+
+def test_cross_table_holds_only_its_two_output_arrays():
+    tracemalloc.start()
+    try:
+        t = cross_moment_recursion(16, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.continued_from is not None
+    assert peak < 1.25 * (t.second.nbytes + t.cov.nbytes)
 
 
 def test_projected_raw_matches_enumerator():
