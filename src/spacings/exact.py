@@ -298,22 +298,47 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.fsum(terms))
 
 
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rank of each entry among the distinct values, number of distinct values)."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, distinct.size
+
+
 def empirical_counter(
     counts: np.ndarray, hats: np.ndarray
 ) -> dict[GapCounts, int]:
     """Collapse simulation output arrays into a state counter.
 
-    The (counts, hats) rows are sorted column by column with ``np.lexsort``,
-    so equal states become runs of adjacent rows; the run boundaries give
-    each distinct state once, with its frequency as the run length.
+    Each row becomes one int64 key: hats, then counts[k-2], ..., counts[0],
+    each less its column minimum, as digits of a mixed radix, which orders
+    the keys as ``np.lexsort`` orders the rows.  A column whose span exceeds
+    the row count is first replaced by its dense ranks, and so is the key
+    before a digit would take its radix to 2**62; ranks keep the order, and
+    both spans are then at most the row count, so the key stays injective
+    (for fewer than 2**31 rows).
+    ``np.unique`` counts the keys, and ``np.searchsorted`` finds each row's
+    key, whence one row of each state.  The states come in key order.
     """
-    rows = np.column_stack([counts, hats])
-    if rows.shape[0] == 0:
+    m = hats.shape[0]
+    if m == 0:
         return {}
-    rows = rows.take(np.lexsort(rows.T), axis=0)
-    starts = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
-    freq = np.diff(starts, append=rows.shape[0])
+    key = np.zeros(m, dtype=np.int64)
+    radix = 1
+    for column in (hats, *counts.T[::-1]):
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        if span > m:
+            column, span = _dense_ranks(column)
+        else:
+            column = column - low
+        if radix * span >= 1 << 62:
+            key, radix = _dense_ranks(key)
+        key = key * span + column
+        radix *= span
+    distinct, freq = np.unique(key, return_counts=True)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[np.searchsorted(distinct, key)] = np.arange(m)
     return {
-        GapCounts(tuple(r[:-1]), r[-1]): f
-        for r, f in zip(rows[starts].tolist(), freq.tolist())
+        GapCounts(tuple(c), h): f
+        for c, h, f in zip(counts[first].tolist(), hats[first].tolist(), freq.tolist())
     }

@@ -143,21 +143,40 @@ class DriftBoundResult:
     per_n: np.ndarray  # per_n[n] = max_j || mean[j] + mean[n-k-j] - mean[n] ||_2
 
 
-def _mean_column(c: list[float], n_max: int) -> list[float]:
-    """E(c . X_n) for n = 0..n_max, by the one-step recursion of :func:`mean_recursion`.
+def _extend_mean_column(v: list[float], k: int, n_max: int) -> list[float]:
+    """Append rows len(v)..n_max of E(c . X_n) to ``v``, which holds rows 0..len(v)-1, k among them.
 
     Rows n < k hold c_n (a single run of length n), rows 0 and k hold 0;
     the recursion is linear, so later rows are E(c . X_n).  It runs on
     Python floats: the same IEEE operations in the same order as a numpy
-    step per row, so the same bits, without numpy's per-call cost.
+    step per row, so the same bits, without numpy's per-call cost; a column
+    continued from its last row has the bits of one built in one go.
     """
-    k = len(c) + 1
-    v = [0.0, *c, 0.0]
-    prev = 0.0
-    for L in range(2, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
+    prev = v[-1]
+    for L in range(len(v) - k + 1, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
         prev = ((L - 1) * prev + 2.0 * v[L - 1]) / L
         v.append(prev)
-    return v[: n_max + 1]
+    return v
+
+
+def _mean_column(c: list[float], n_max: int) -> list[float]:
+    """E(c . X_n) for n = 0..n_max, by the one-step recursion of :func:`mean_recursion`."""
+    k = len(c) + 1
+    return _extend_mean_column([0.0, *c, 0.0], k, n_max)[: n_max + 1]
+
+
+def _mean_rows(columns: list[list[float]], n_max: int) -> np.ndarray:
+    """Rows 0..n_max of the mean table, its columns (one per unit vector) extended in place."""
+    k = len(columns) + 1
+    g = np.empty((n_max + 1, k - 1))
+    for col, v in enumerate(columns):
+        g[:, col] = _extend_mean_column(v, k, n_max)[: n_max + 1]
+    return g
+
+
+def _unit_columns(k: int) -> list[list[float]]:
+    """Rows 0..k of each column of the mean table, the start of ``_extend_mean_column``."""
+    return [[0.0, *unit, 0.0] for unit in np.eye(k - 1).tolist()]
 
 
 def mean_recursion(k: int, n_max: int) -> MeanTable:
@@ -168,10 +187,7 @@ def mean_recursion(k: int, n_max: int) -> MeanTable:
     is ``_mean_column`` of the unit vector e_j.
     """
     _check_kn(k, n_max)
-    g = np.empty((n_max + 1, k - 1))
-    for col, unit in enumerate(np.eye(k - 1).tolist()):
-        g[:, col] = _mean_column(unit, n_max)
-    return MeanTable(k, g)
+    return MeanTable(k, _mean_rows(_unit_columns(k), n_max))
 
 
 def mean_recursion_exact(k: int, n_max: int) -> list[list[Fraction]]:
@@ -207,13 +223,15 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
     row t has rates cov[t]/(t+k) within ``CONTINUATION_TOL`` of those
     ``STABILIZATION_LOOKBACK`` rows earlier, entry (i, j) in units of
     sqrt(Sigma_ii Sigma_jj).  Both arrays grow by doubling up to rows
-    0..cap; if no t <= cap settles they hold those rows and t is None.
+    0..cap, the mean columns continued from their last row; if no t <= cap
+    settles they hold those rows and t is None.
     """
     _check_kn(k, cap)
     i_idx, j_idx = np.triu_indices(k - 1)
     diag = np.flatnonzero(i_idx == j_idx)  # the packed column of each entry (i, i)
     size = min(cap, MAX_K)  # at least k rows, so one doubling covers any step
-    g = mean_recursion(k, size).values
+    columns = _unit_columns(k)
+    g = _mean_rows(columns, size)
     packed = np.zeros((size + 1, len(i_idx)))
     for n in range(1, min(k, size + 1)):
         packed[n, diag[n - 1]] = 1.0
@@ -225,7 +243,7 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
     for n in range(k, cap + 1, k):
         if n + k > len(packed) and size < cap:  # the step fills rows past the arrays
             size = min(2 * size, cap)
-            g = mean_recursion(k, size).values
+            g = _mean_rows(columns, size)
             packed = np.concatenate([packed, np.zeros((size + 1 - len(packed), len(i_idx)))])
         lo, hi = n - k, min(n, steps)
         # the mean term of row m + k: sum_h outer(mean[h], mean[m-h]) + transpose
@@ -257,8 +275,8 @@ def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
     Sigma (s+k) and second[s] = cov[s] + outer(mean[s], mean[s]); else the
     loop runs to n_max and it is None.
     """
-    g = mean_recursion(k, n_max).values
-    _, packed, t = _settled_rows(k, n_max)
+    g, packed, t = _settled_rows(k, n_max)
+    g = _mean_rows(g.T.tolist(), n_max)  # the mean columns continued from row t
     pair, done = _pair_columns(k - 1), len(packed)
     second = g[:, :, None] * g[:, None, :]  # outer(mean[s], mean[s]) until overwritten
     cov = np.empty_like(second)

@@ -17,7 +17,9 @@ a given (params, replications, seed) triple yields bit-identical output on
 a given numpy version, independent of the worker count; partial results merge
 by summation in chunk order.  Because a chunk is sampled from its own stream
 wherever it runs, ``map_chunks`` may hand chunks to forked worker
-processes without changing a single draw.
+processes without changing a single draw.  The vector engine decodes its
+offsets from the stream's raw 64-bit words (``_offsets``), so a run's start
+count n-k+1 must lie below 2**32.
 """
 
 from __future__ import annotations
@@ -57,12 +59,25 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 _TALLY_BATCH = 1 << 18
 # rows whose moment powers are held at once: 4096 * (2*order+1) floats
 _POWER_ROWS = 4096
+_LOW_BITS = 0xFFFFFFFF
 
 
 def chunk_size(n: int, k: int) -> int:
     """Replications per chunk; fixed by (n, k) so stream layout never varies."""
     blocks = max(1, n // k)  # bounds the runs one split round holds per replication
     return max(1, min(1 << 16, _CHUNK_ELEMENT_BUDGET // blocks))
+
+
+def _check_request(params: ProcessParams, replications: int, seed: int) -> None:
+    """Reject a sampling request before any work is done for it."""
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if params.n - params.k + 1 >= 1 << 32:
+        raise ValueError(
+            f"the sampler needs n - k + 1 < 2**32 starts, got n={params.n}, k={params.k}"
+        )
 
 
 @dataclass(frozen=True)
@@ -76,10 +91,7 @@ class SimConfig:
     moment_order: int = 8
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_request(self.params, self.replications, self.seed)
         # the power sums run to twice the order, within MAX_ORDER's binomial rows
         if not 2 <= self.moment_order <= MAX_ORDER // 2:
             raise ValueError(
@@ -158,10 +170,7 @@ def _chunk_sizes(params: ProcessParams, replications: int, seed: int) -> Iterato
     Every sampler goes through here, so the request is checked here, before
     the first chunk is sampled.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_request(params, replications, seed)
     size = chunk_size(params.n, params.k)
     for start in range(0, replications, size):
         yield min(size, replications - start)
@@ -172,12 +181,35 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _offsets(bits: np.random.BitGenerator, starts: np.ndarray) -> np.ndarray:
+    """One uniform offset on [0, s) for each entry s of ``starts`` (uint64, 1 <= s < 2**32).
+
+    Lemire's multiply-shift (D. Lemire, "Fast Random Integer Generation in
+    an Interval", ACM TOMACS 2019): the top 32 bits x of one raw word give
+    (x * s) >> 32, which is exact once the words whose low product bits
+    x * s mod 2**32 fall below 2**32 mod s, taken as (2**32 - s) % s, are
+    rejected.  Rejected entries are redrawn, in index order, from the same
+    stream until none is left.  Only low bits below s can fall below that
+    threshold, so it is computed for those entries alone.  Everything stays
+    uint64: numpy would take uint64 times int64 to float64.
+    """
+    product = (bits.random_raw(starts.size) >> 32) * starts
+    redo = np.flatnonzero((product & _LOW_BITS) < starts)
+    while True:
+        s = starts.take(redo)
+        redo = redo[(product.take(redo) & _LOW_BITS) < (2**32 - s) % s]
+        if redo.size == 0:
+            return product >> 32
+        product[redo] = (bits.random_raw(redo.size) >> 32) * starts.take(redo)
+
+
 def _simulate_chunk(
     params: ProcessParams, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split-tree run of m replications; returns (counts, hats).
 
-    Each round draws the first block of every open run at once.  A round
+    Each round draws the first block of every open run at once, one raw
+    word per run decoded by ``_offsets`` (plus its redraws).  A round
     only records what it saw: the flat cells row*(k-1) + length - 1 of the
     runs it closed as spacings, and the rows of the runs it opened.  The
     records are tallied by one ``bincount`` each once they reach the size
@@ -209,7 +241,7 @@ def _simulate_chunk(
             cells, opened, pending = [], [], 0
         if row.size == 0:
             break
-        offset = rng.integers(0, run - k + 1)
+        offset = _offsets(rng.bit_generator, (run - (k - 1)).view(np.uint64)).view(np.int64)
         row = np.concatenate([row, row])
         run = np.concatenate([offset, run - k - offset])
 
@@ -428,7 +460,8 @@ def simulate_batch(config: SimConfig) -> SampleStats:
 
     rng_id = (
         f"numpy {np.__version__} PCG64/SeedSequence(entropy=seed, spawn_key=(chunk,)), "
-        f"split-tree rounds, chunk_size={chunk_size(n, k)}"
+        "split-tree rounds, offsets by 32-bit Lemire multiply-shift of raw words, "
+        f"chunk_size={chunk_size(n, k)}"
     )
     return SampleStats(
         config=config,

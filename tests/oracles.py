@@ -173,12 +173,32 @@ def cov_kernel_at(y: float, i: int, j: int, k: int, rates, inner_nodes: int) -> 
     return diag + w * w * bi * bj - corr
 
 
+def lemire_offsets(bounds: list[int], bits) -> list[int]:
+    """Uniform offsets on [0, s) for each bound s, in Python-int arithmetic.
+
+    Each bound takes the top 32 bits x of one raw word of ``bits``; the word
+    is rejected when x*s mod 2**32 < 2**32 mod s, and the rejected entries
+    take fresh words, in index order, pass after pass, until none is left.
+    The arrays hold Python ints (dtype object), so no product wraps.
+    """
+    s = np.array(bounds, dtype=object)
+    out = np.zeros(len(bounds), dtype=object)
+    pending = np.arange(len(bounds))
+    while pending.size:
+        product = (bits.random_raw(pending.size).astype(object) >> 32) * s[pending]
+        rejected = (product % 2**32 < 2**32 % s[pending]).astype(bool)
+        out[pending[~rejected]] = product[~rejected] >> 32
+        pending = pending[rejected]
+    return out.tolist()
+
+
 def simulate_chunk_per_round(n: int, k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Split-tree run of m replications with the tallies updated every round.
 
-    The engine's draws in the engine's order, each round adding its closed
-    spacings and opened rows into full (m, k-1) and (m,) tallies through
-    boolean masks; the engine records rounds and tallies them in batches.
+    The engine's raw words in the engine's order, decoded by
+    ``lemire_offsets``, each round adding its closed spacings and opened
+    rows into full (m, k-1) and (m,) tallies through boolean masks; the
+    engine records rounds and tallies them in batches.
     """
     counts = np.zeros(m * (k - 1), dtype=np.int64)
     hats = np.zeros(m, dtype=np.int64)
@@ -192,7 +212,7 @@ def simulate_chunk_per_round(n: int, k: int, m: int, rng) -> tuple[np.ndarray, n
         if row.size == 0:
             break
         hats += np.bincount(row, minlength=m)
-        offset = rng.integers(0, run - k + 1)
+        offset = np.array(lemire_offsets((run - k + 1).tolist(), rng.bit_generator), dtype=np.int64)
         row = np.concatenate([row, row])
         run = np.concatenate([offset, run - k - offset])
     return counts.reshape(m, k - 1), hats

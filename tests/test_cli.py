@@ -6,6 +6,7 @@ import math
 import re
 import runpy
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,25 @@ def test_resource_errors_exit_2(capsys):
     argv = ("--n", "400", "--k", "2", "--order", "200", "--replications", "2000")
     code, out = run(capsys, "simulate", *argv)
     assert code == 2 and out == ""
+
+
+def test_simulate_rejects_a_row_past_the_32_bit_decode_before_any_work(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    # unpatched, the shift column alone would loop to n = 2**32 + 2
+    monkeypatch.setattr(simulate, "_mean_column", forbidden)
+    monkeypatch.setattr(simulate, "map_chunks", forbidden)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--n", "4294967298", "--k", "2", "--replications", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n - k + 1 < 2**32 starts, got n=4294967298, k=2" in captured.err
+    assert peak < 1 << 20
 
 
 def test_bad_projection_is_a_usage_error(capsys):

@@ -257,6 +257,55 @@ def test_empirical_counter_matches_counter_over_rows(case):
     assert all(type(h) is int for g in got for h in (g.hats, *g.counts))
 
 
+def _lexsort_counter(counts: np.ndarray, hats: np.ndarray) -> list[tuple[GapCounts, int]]:
+    """Counter over the rows, its states in the order ``np.lexsort`` puts the rows in."""
+    rows = np.column_stack([counts, hats])
+    rows = rows.take(np.lexsort(rows.T), axis=0)
+    tally = Counter(GapCounts(tuple(r[:-1]), r[-1]) for r in rows.tolist())
+    return list(tally.items())  # a Counter keeps first-insertion order
+
+
+_WIDE_VALUES = [
+    st.integers(0, 1),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(-(2**62) - 3, -(2**62) + 3) | st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(-(2**63), 2**63 - 1),
+]
+
+
+@st.composite
+def _wide_rows(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Up to 63 count columns, each column's entries 0/1 or near +-2**62 or anywhere in int64."""
+    width = draw(st.integers(min_value=1, max_value=63))
+    columns = [draw(st.sampled_from(_WIDE_VALUES)) for _ in range(width + 1)]  # the last is hats
+    pool = draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), width + 1)
+    return table[:, :-1], table[:, -1].copy()
+
+
+@settings(max_examples=100)
+@given(_wide_rows())
+def test_empirical_counter_is_the_lexsorted_counter_on_wide_and_huge_rows(case):
+    counts, hats = case
+    got = empirical_counter(counts, hats)
+    assert list(got.items()) == _lexsort_counter(counts, hats)
+
+
+@pytest.mark.parametrize("width", [1, 62, 63])
+@pytest.mark.parametrize("rows", [0, 1, 2, 5, 40])
+def test_empirical_counter_on_empty_single_and_zero_one_rows(width, rows):
+    # rows 0 and 1 make every count column span 0..1, so from 62 columns on
+    # the radix reaches 2**62 and the key is ranked before the last column
+    rng = np.random.default_rng(width * 100 + rows)
+    counts = rng.integers(0, 2, size=(rows, width))
+    counts[:2] = np.arange(2)[:rows, None]
+    hats = rng.integers(0, 3, size=rows)
+    got = empirical_counter(counts, hats)
+    assert list(got.items()) == _lexsort_counter(counts, hats)
+    assert sum(got.values()) == rows
+
+
 @settings(max_examples=30)
 @given(
     n=st.integers(min_value=0, max_value=14),

@@ -74,6 +74,22 @@ def test_float_mean_is_bit_identical_to_numpy_step(k, n_max):
     assert np.array_equal(mean_recursion(k, n_max).values, want)
 
 
+def test_mean_columns_continued_from_their_last_row_keep_the_bits():
+    columns = moments._unit_columns(3)
+    assert np.array_equal(moments._mean_rows(columns, 2), mean_recursion(3, 2).values)
+    for n_max in (10, 11, 500):
+        assert np.array_equal(moments._mean_rows(columns, n_max), mean_recursion(3, n_max).values)
+    assert np.array_equal(moments._mean_rows(columns, 7), mean_recursion(3, 7).values)
+
+
+@pytest.mark.parametrize("k", [*range(2, 9), 33, 64])
+def test_settled_rows_hold_the_mean_table_bit_for_bit(k):
+    # the mean columns grow with the cross rows, each doubling continuing them
+    g, packed, t = moments._settled_rows(k, MAX_N_MAX)
+    assert t is not None and len(g) == len(packed) == t + 1
+    assert np.array_equal(g, mean_recursion(k, t).values)
+
+
 def test_one_step_and_cumulative_forms_agree():
     a = mean_recursion(2, 3000).values
     b = oracles.mean_recursion_cumulative(2, 3000)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +21,15 @@ import spacings
 from spacings import simulate
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
-from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER, _mean_column, mean_recursion_exact
+from spacings.moments import (
+    MAX_K,
+    MAX_N_MAX,
+    MAX_ORDER,
+    _mean_column,
+    cross_moment_recursion,
+    mean_recursion,
+    mean_recursion_exact,
+)
 from spacings.simulate import (
     _CHUNK_ELEMENT_BUDGET,
     _POWER_ROWS,
@@ -29,6 +38,7 @@ from spacings.simulate import (
     _chunk_rng,
     _chunk_sizes,
     _chunk_sums,
+    _offsets,
     _simulate_chunk,
     chunk_size,
     iter_state_chunks,
@@ -148,6 +158,99 @@ def test_chunk_tallies_equal_per_round_tallies(n, k):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+
+class ScriptedBits:
+    """Stands in for a bit generator; hands out preset raw words and logs each request."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.requests = []
+
+    def random_raw(self, size):
+        assert len(self.words) >= size, "script exhausted"
+        self.requests.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def _residue_p_value(y: np.ndarray, modulus: int) -> float:
+    from scipy.stats import chisquare
+
+    return float(chisquare(np.bincount(y % modulus, minlength=modulus)).pvalue)
+
+
+@pytest.mark.parametrize("s, modulus", [(7 << 29, 7), (3 << 30, 3)])
+def test_offsets_are_uniform_over_residues_at_large_bounds(s, modulus):
+    """At these bounds (x * s) >> 32 alone hits residue 0 of y mod ``modulus`` twice as often."""
+    draws = 120_000
+    starts = np.full(draws, s, dtype=np.uint64)
+    y = _offsets(np.random.PCG64(s), starts)
+    assert y.dtype == np.uint64 and int(y.max()) < s
+    assert _residue_p_value(y, modulus) > 1e-4
+    x = np.random.PCG64(s).random_raw(draws) >> 32  # the same first words
+    assert _residue_p_value((x * starts) >> 32, modulus) < 1e-12
+    if s == 7 << 29:
+        # a threshold (2**64 - s) % s, from uint64 wrap-around, rejects the wrong words
+        low = (x * starts) & 0xFFFFFFFF
+        wrapped = ((x * starts) >> 32)[low >= (0 - starts) % starts]
+        assert _residue_p_value(wrapped, modulus) < 1e-12
+
+
+def test_offsets_redraw_rejected_entries_in_index_order():
+    # at s = 7 * 2**29 the words whose top 32 bits are a multiple of 8 are rejected,
+    # at s = 5 only x = 0 (2**32 mod 5 = 1); the low 32 bits of a word are never read
+    s = 7 << 29
+    junk = 0xDEADBEEF
+    script = [
+        (8 << 32) | junk,  # entry 0: rejected
+        (0 << 32) | junk,  # entry 1: rejected
+        (9 << 32) | junk,  # entry 2: kept
+        (16 << 32) | junk,  # entry 3: rejected
+        (24 << 32) | junk,  # entry 0 again: rejected
+        ((2**32 - 1) << 32) | junk,  # entry 1: kept
+        (17 << 32) | junk,  # entry 3: kept
+        ((2**31 + 1) << 32) | junk,  # entry 0: kept
+        12345,  # never drawn
+    ]
+    bits = ScriptedBits(script)
+    got = _offsets(bits, np.array([s, 5, s, s], dtype=np.uint64))
+    assert bits.requests == [4, 3, 1] and bits.words == [12345]
+    x = [2**31 + 1, 2**32 - 1, 9, 17]
+    assert got.tolist() == [(xi * si) >> 32 for xi, si in zip(x, [s, 5, s, s])]
+    assert got.tolist() == [7 << 28, 4, 7, 14]
+
+
+def test_oversized_rows_are_rejected_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", forbidden)
+    monkeypatch.setattr(simulate, "_mean_column", forbidden)
+    SimConfig(ProcessParams(2**32, 2), 1, seed=0)  # 2**32 - 1 starts: the largest that fits
+    message = re.escape("n - k + 1 < 2**32 starts")
+    for params in (ProcessParams(2**32 + 1, 2), ProcessParams(2**32 + 6, 7)):
+        for request in (
+            lambda: SimConfig(params, 1, seed=0),
+            lambda: next(iter_state_chunks(params, 1, 0)),
+            lambda: state_counter(params, 1, 0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                request()
+
+
+@pytest.mark.parametrize("n, k, replications", [(400, 2, 80_000), (2000, 5, 16_000)])
+def test_vector_engine_moments_match_the_recursions_at_large_n(n, k, replications):
+    """Mean and covariance within 5 standard errors, at start counts far above the exact laws' n."""
+    counts, _ = sample_states(ProcessParams(n, k), replications, seed=13)
+    x = counts.astype(float)
+    mean = x.mean(axis=0)
+    z = x - mean
+    cov = z.T @ z / replications
+    mean_se = x.std(axis=0) / np.sqrt(replications)
+    cov_se = (z[:, :, None] * z[:, None, :]).std(axis=0) / np.sqrt(replications)
+    assert np.all(np.abs(mean - mean_recursion(k, n).values[n]) < 5 * mean_se)
+    assert np.all(np.abs(cov - cross_moment_recursion(k, n).cov[n]) < 5 * cov_se)
 
 
 def test_sample_states_validate_and_partial_chunks():
