@@ -10,8 +10,7 @@ which this module evaluates with Gauss-Legendre rules.  The covariance
 kernel is the bounded difference of two pieces that each grow like
 (1-y)^-2 near y = 1, so its integral loses more digits the closer the last
 node sits to 1; ``cov_rates_by_quadrature`` estimates that error.
-``mean_gf`` and ``cov_kernel`` are one-node views of the arrays that the
-quadrature integrates.
+``mean_gf`` and ``cov_kernel`` evaluate the integrands at an array of points.
 
 An independent route to the same constants is finite-n recursion plus
 extrapolation (:mod:`spacings.moments`); ``constants_by_extrapolation`` and
@@ -114,12 +113,24 @@ def rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> np.nda
     return np.array([scale * float(base @ y**j) for j in range(1, k)])
 
 
-def _mean_gf_table(y: np.ndarray, k: int, inner: GaussLegendreRule) -> np.ndarray:
-    """``mean_gf(y[n], i, k, inner)`` for every node and i = 1..k-1, as gf[n, i-1].
+def mean_gf(y, k: int, inner: GaussLegendreRule | None = None) -> np.ndarray:
+    """Generating functions of the expected spacing counts at each point of y.
 
-    The inner rule is mapped onto [0, y] at every node at once; writing
-    t^i = y^i x^i keeps every temporary at nodes x inner floats.
+    gf[n, i-1] = 2 (1-y)^-2 exp_weight(y)^-1 * integral_0^y t^i (1-t) exp_weight(t) dt
+    for i = 1..k-1 and the 1-D points 0 <= y[n] < 1; the coefficient of
+    y^(n-k+1) in its series is the expected number of length-i spacings on
+    a row of n hooks.  The inner rule is mapped onto [0, y] at every point
+    at once; writing t^i = y^i x^i keeps every temporary at points x inner
+    floats.
     """
+    _check_k(k)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"the kernels take a 1-D array of points, got shape {y.shape}")
+    outside = y[~((0.0 <= y) & (y < 1.0))]
+    if outside.size:
+        raise ValueError(f"the kernels need 0 <= y < 1, got y={outside[0]}")
+    inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
     x = inner.nodes
     t = y[:, None] * x[None, :]
     f = (1.0 - t) * exp_weight(t, k) * inner.weights
@@ -129,15 +140,21 @@ def _mean_gf_table(y: np.ndarray, k: int, inner: GaussLegendreRule) -> np.ndarra
     return 2.0 * integral / ((1.0 - y) ** 2 * exp_weight(y, k))[:, None]
 
 
-def _cov_kernel_table(
-    y: np.ndarray, k: int, gf: np.ndarray, rates: Sequence[float]
+def cov_kernel(
+    y, k: int, rates: Sequence[float], inner: GaussLegendreRule | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance kernel at every node and (i, j) pair, and its pieces.
+    """Covariance kernel at each point of y and (i, j) pair, and its pieces.
 
-    Returns (value, mags), both exactly symmetric in (i, j): value[n, i-1,
-    j-1] is the kernel at y[n], and mags[:, n, i-1, j-1] holds the
-    magnitudes of its diagonal, product and rate-correction pieces.
+    The kernel combines a diagonal piece, a product of mean generating
+    functions, and a rate-correction polynomial divided by (1-y)^2; the last
+    two diverge separately as y -> 1 while their difference stays bounded.
+    Returns (value, pieces), both exactly symmetric in (i, j): value[n, i-1,
+    j-1] is the kernel at y[n], and pieces[:, n, i-1, j-1] holds the
+    magnitudes of its diagonal, product and rate-correction pieces.  The
+    points are checked by ``mean_gf``.
     """
+    gf = mean_gf(y, k, inner)
+    y = np.asarray(y, dtype=float)
     d = k - 1
     w = 1.0 - y
     yi = y[:, None] ** np.arange(1, k)
@@ -153,55 +170,11 @@ def _cov_kernel_table(
     return diag + prod - corr, np.abs(np.stack([diag, prod, corr]))
 
 
-def mean_gf(z: float, i: int, k: int, inner: GaussLegendreRule | None = None) -> float:
-    """Generating function of the expected length-i spacing counts.
-
-    Equals 2 (1-z)^-2 exp_weight(z)^-1 * integral_0^z t^i (1-t) exp_weight(t) dt
-    for 0 <= z < 1; the coefficient of z^(n-k+1) in its series is the
-    expected number of length-i spacings on a row of n hooks.
-    """
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"mean_gf needs 0 <= z < 1, got z={z}")
-    _check_k(k)
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"spacing length i must lie in 1..{k - 1}")
-    inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    return float(_mean_gf_table(np.array([z], dtype=float), k, inner)[0, i - 1])
-
-
-def cov_kernel(
-    y: float,
-    i: int,
-    j: int,
-    k: int,
-    rates: Sequence[float],
-    inner: GaussLegendreRule | None = None,
-) -> tuple[float, float]:
-    """Covariance kernel at y plus the largest intermediate magnitude.
-
-    The kernel combines a diagonal piece, a product of mean generating
-    functions, and a rate-correction polynomial divided by (1-y)^2; the last
-    two diverge separately as y -> 1 while their difference stays bounded.
-    Returns (value, max_abs_term); their ratio says how many digits the
-    evaluation at y loses to that cancellation.
-    """
-    if not 0.0 <= y < 1.0:
-        raise ValueError(f"cov_kernel needs 0 <= y < 1, got y={y}")
-    _check_k(k)
-    if not (1 <= i <= k - 1 and 1 <= j <= k - 1):
-        raise ValueError(f"spacing lengths must lie in 1..{k - 1}")
-    inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    node = np.array([y], dtype=float)
-    value, mags = _cov_kernel_table(node, k, _mean_gf_table(node, k, inner), rates)
-    return float(value[0, i - 1, j - 1]), float(mags[:, 0, i - 1, j - 1].max())
-
-
 @dataclass(frozen=True)
 class CovQuadrature:
     """Covariance rates from one quadrature, with their error diagnostics per (i, j)."""
 
     matrix: np.ndarray
-    max_term_ratio: np.ndarray  # max over nodes of max_term/|kernel|
     flagged: np.ndarray  # est_abs_error > COV_REL_TOL * |entry|
     est_abs_error: np.ndarray  # rounding and inherited input error
 
@@ -217,10 +190,8 @@ def cov_rates_by_quadrature(
     with the rates in the kernel's rate correction from
     ``rates_by_quadrature(k, rule)``.
 
-    Returns the matrix with its diagnostics, per entry: the worst node-level
-    cancellation ratio (a reported figure; it is large wherever the kernel
-    tends to zero near y = 1), and an estimate of the absolute error carried
-    to the integral.
+    Returns the matrix with, per entry, an estimate of the absolute error
+    carried to the integral.
     At each node that estimate takes eps times the largest piece, plus the
     relative error the product piece inherits from the inner-rule mean
     generating function, 2 (inner nodes + k + 6) eps, and the one the rate
@@ -231,18 +202,15 @@ def cov_rates_by_quadrature(
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
     rates = rates_by_quadrature(k, rule)
-    y = rule.nodes
-    value, mags = _cov_kernel_table(y, k, _mean_gf_table(y, k, inner), rates)
-    weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(y, k)
+    value, pieces = cov_kernel(rule.nodes, k, rates, inner)
+    weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(rule.nodes, k)
     eps = np.finfo(float).eps
-    max_term = mags.max(axis=0)
     node_err = eps * (
-        max_term + 2 * (len(inner.nodes) + k + 6) * mags[1] + 2 * (k + 6) * mags[2]
+        pieces.max(axis=0) + 2 * (len(inner.nodes) + k + 6) * pieces[1] + 2 * (k + 6) * pieces[2]
     )
     matrix = np.tensordot(weight, value, axes=1)
     err = np.tensordot(weight, node_err, axes=1)
-    ratio = (max_term / np.maximum(np.abs(value), np.finfo(float).tiny)).max(axis=0)
-    return CovQuadrature(matrix, ratio, err > COV_REL_TOL * np.abs(matrix), err)
+    return CovQuadrature(matrix, err > COV_REL_TOL * np.abs(matrix), err)
 
 
 def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> float:
@@ -324,7 +292,6 @@ def constants_by_quadrature(
         diagnostics={
             "outer_nodes": outer_nodes,
             "inner_nodes": inner_nodes,
-            "cancellation_max_ratio": float(cov.max_term_ratio.max()),
             "cancellation_flagged": bool(cov.flagged.any()),
             "cov_est_abs_error": float(cov.est_abs_error.max()),
         },

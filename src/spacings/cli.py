@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -63,72 +64,71 @@ def _exact_rows(payload: dict) -> list[list]:
     ]
 
 
-def _simulate_rows(payload: dict) -> list[list]:
-    rows: list[list] = []
-    for i, v in enumerate(payload["mean"], start=1):
-        rows.append(["mean", i, "", "", repr(v)])
-    for i, v in enumerate(payload["mean_se"], start=1):
-        rows.append(["mean_se", i, "", "", repr(v)])
-    for i, row in enumerate(payload["cov"], start=1):
-        for j, v in enumerate(row, start=1):
-            rows.append(["cov", i, j, "", repr(v)])
-    for m, v in enumerate(payload["std_moments"]):
-        rows.append(["std_moment", "", "", m, repr(v)])
-    for m, v in enumerate(payload["std_moment_se"]):
-        rows.append(["std_moment_se", "", "", m, repr(v)])
-    return rows
+def _array_rows(header: list[str], parts: list[tuple[list, Any, tuple[str, ...]]]) -> Iterator:
+    """One row per entry of each (lead cells, array, axis names) part, zipped from columns.
+
+    A row holds the lead cells, then the entry's index under the header
+    column named by each axis (i and j count from 1, n and order from 0),
+    "" in the other columns, and the value's repr last.
+    """
+    for lead, values, axes in parts:
+        arr = np.asarray(values)
+        index = np.indices(arr.shape).reshape(arr.ndim, arr.size)
+        given = {name: (row + (name in ("i", "j"))).tolist() for name, row in zip(axes, index)}
+        yield from zip(
+            *map(itertools.repeat, lead),
+            *(given.get(name, itertools.repeat("")) for name in header[len(lead) : -1]),
+            map(repr, arr.ravel().tolist()),  # numpy 2 scalars repr as np.float64(...)
+        )
 
 
-def _moments_rows(payload: dict) -> list[list]:
-    return [row for entry in payload["tables"] for row in entry_rows(entry)]
+_SIMULATE_HEADER = ["quantity", "i", "j", "order", "value"]
+_MOMENTS_HEADER = ["table", "n", "i", "j", "order", "value"]
+_CONSTANTS_HEADER = ["k", "quantity", "route", "i", "j", "value"]
+_TABLE_AXES = {"mean": ("n", "i"), "cov": ("n", "i", "j")}  # raw, standardized: ("n", "order")
 
 
-def entry_rows(entry: dict) -> list[list]:
-    rows = []
-    table = entry["table"]
-    arr = np.asarray(entry["values"]).tolist()  # numpy 2 scalars repr as np.float64(...)
-    if table == "mean":
-        for n, row in enumerate(arr):
-            for i, v in enumerate(row, start=1):
-                rows.append([table, n, i, "", "", repr(v)])
-    elif table == "cov":
-        for n, mat in enumerate(arr):
-            for i, row in enumerate(mat, start=1):
-                for j, v in enumerate(row, start=1):
-                    rows.append([table, n, i, j, "", repr(v)])
-    else:  # raw / standardized projected moments
-        for n, row in enumerate(arr):
-            for m, v in enumerate(row):
-                rows.append([table, n, "", "", m, repr(v)])
-    return rows
+def _simulate_rows(payload: dict) -> Iterator:
+    return _array_rows(
+        _SIMULATE_HEADER,
+        [
+            (["mean"], payload["mean"], ("i",)),
+            (["mean_se"], payload["mean_se"], ("i",)),
+            (["cov"], payload["cov"], ("i", "j")),
+            (["std_moment"], payload["std_moments"], ("order",)),
+            (["std_moment_se"], payload["std_moment_se"], ("order",)),
+        ],
+    )
 
 
-def _constants_rows(blocks: list[dict]) -> list[list]:
-    rows: list[list] = []
-    for block in blocks:
-        k = block["k"]
-        for route in ("quadrature", "extrapolation"):
-            c = block[route]
-            for i, v in enumerate(np.asarray(c["rates"]).tolist(), start=1):
-                rows.append([k, "rate", route, i, "", repr(v)])
-            for i, row in enumerate(np.asarray(c["cov_rates"]).tolist(), start=1):
-                for j, v in enumerate(row, start=1):
-                    rows.append([k, "cov_rate", route, i, j, repr(v)])
-            rows.append([k, "vacancy_rate", route, "", "", repr(c["vacancy_rate"])])
-    return rows
+def _moments_rows(payload: dict) -> Iterator:
+    parts = [
+        ([e["table"]], e["values"], _TABLE_AXES.get(e["table"], ("n", "order")))
+        for e in payload["tables"]
+    ]
+    return _array_rows(_MOMENTS_HEADER, parts)
+
+
+def _constants_rows(blocks: list[dict]) -> Iterator:
+    quantities = [("rate", "rates", ("i",)), ("cov_rate", "cov_rates", ("i", "j"))]
+    parts = [
+        ([b["k"], quantity, route], b[route][key], axes)
+        for b in blocks
+        for route in ("quadrature", "extrapolation")
+        for quantity, key, axes in [*quantities, ("vacancy_rate", "vacancy_rate", ())]
+    ]
+    return _array_rows(_CONSTANTS_HEADER, parts)
 
 
 def _verify_rows(payload: dict) -> list[list]:
     return [[r["name"], r["passed"], r["measured"], repr(r["elapsed_s"])] for r in payload["checks"]]
 
 
-_CONSTANTS_HEADER = ["k", "quantity", "route", "i", "j", "value"]
-
 # tool -> (CSV header, payload -> rows)
 _CSV_SCHEMAS = {
     "exact": (["counts", "hats", "prob_num", "prob_den", "prob"], _exact_rows),
-    "simulate": (["quantity", "i", "j", "order", "value"], _simulate_rows),
-    "moments": (["table", "n", "i", "j", "order", "value"], _moments_rows),
+    "simulate": (_SIMULATE_HEADER, _simulate_rows),
+    "moments": (_MOMENTS_HEADER, _moments_rows),
     "asympt": (_CONSTANTS_HEADER, lambda payload: _constants_rows([payload])),
     "report": (_CONSTANTS_HEADER, lambda payload: _constants_rows(payload["constants"])),
     "verify": (["name", "passed", "measured", "elapsed_s"], _verify_rows),

@@ -405,11 +405,11 @@ class SampleStats:
             "seed": self.config.seed,
             "projection": self.config.projection_vector().tolist(),
             "moment_order": self.config.moment_order,
-            "mean": self.mean.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "cov": self.cov.tolist(),
-            "std_moments": self.std_moments.tolist(),
-            "std_moment_se": self.std_moment_se.tolist(),
+            "mean": self.mean,
+            "mean_se": self.mean_se,
+            "cov": self.cov,
+            "std_moments": self.std_moments,
+            "std_moment_se": self.std_moment_se,
             "shift": self.shift,
             "rng": self.rng_id,
         }

@@ -189,12 +189,12 @@ def check_closed_forms_k2() -> CheckResult:
     def body() -> tuple[bool, str]:
         rates = asy.rates_by_quadrature(2)
         zs = np.linspace(0.025, 0.975, 20)
+        g_quad = asy.mean_gf(zs, 2)[:, 0]
+        h_quad = asy.cov_kernel(zs, 2, rates)[0][:, 0, 0]
         worst_g = worst_h = 0.0
-        for z in map(float, zs):
-            g_quad = asy.mean_gf(z, 1, 2)
-            worst_g = max(worst_g, abs(g_quad - closed_form_mean_gf_k2(z)))
-            h_quad, _ = asy.cov_kernel(z, 1, 1, 2, rates)
-            worst_h = max(worst_h, abs(h_quad - closed_form_cov_kernel_k2(z)))
+        for z, g, h in zip(zs.tolist(), g_quad.tolist(), h_quad.tolist()):
+            worst_g = max(worst_g, abs(g - closed_form_mean_gf_k2(z)))
+            worst_h = max(worst_h, abs(h - closed_form_cov_kernel_k2(z)))
         ok = worst_g < 1e-9 and worst_h < 1e-9
         return ok, f"max |gf err|={worst_g:.2e}, max |kernel err|={worst_h:.2e} (tol 1e-9)"
 

@@ -69,8 +69,8 @@ def test_quadrature_entry_points_bound_k():
         lambda: asy.rates_by_quadrature(k),
         lambda: asy.cov_rates_by_quadrature(k),
         lambda: asy.vacancy_rate_by_quadrature(k),
-        lambda: asy.mean_gf(0.5, 1, k),
-        lambda: asy.cov_kernel(0.5, 1, 1, k, [0.1] * (k - 1)),
+        lambda: asy.mean_gf([0.5], k),
+        lambda: asy.cov_kernel([0.5], k, [0.1] * (k - 1)),
         lambda: asy.constants_by_quadrature(k),
         lambda: asy.constants_by_extrapolation(k),
     ]
@@ -103,27 +103,27 @@ def test_vacancy_identity_all_k(k):
 
 
 def test_mean_gf_domain():
-    assert mean_gf(0.0, 1, 3) == 0.0
-    with pytest.raises(ValueError):
-        mean_gf(1.0, 1, 3)
-    with pytest.raises(ValueError):
-        mean_gf(-0.1, 1, 3)
-    with pytest.raises(ValueError):
-        mean_gf(0.5, 3, 3)  # spacing length out of range
+    assert mean_gf([0.0], 3).tolist() == [[0.0, 0.0]]
+    for y in ([0.5, 1.0], [-0.1], [np.nan]):
+        with pytest.raises(ValueError, match="0 <= y < 1"):
+            mean_gf(y, 3)
+    for y in (0.5, [[0.5]]):  # the points are one 1-D array
+        with pytest.raises(ValueError, match="1-D array"):
+            mean_gf(y, 3)
+        with pytest.raises(ValueError, match="1-D array"):
+            cov_kernel(y, 3, [0.1, 0.1])
 
 
 def test_mean_gf_closed_form_k2():
-    for z in (0.2, 0.5, 0.8):
-        want = math.exp(-2 * z) / (1 - z) ** 2 - 1
-        assert mean_gf(z, 1, 2) == pytest.approx(want, rel=1e-11)
+    z = np.array([0.2, 0.5, 0.8])
+    want = np.exp(-2 * z) / (1 - z) ** 2 - 1
+    assert mean_gf(z, 2)[:, 0] == pytest.approx(want, rel=1e-11)
 
 
 def test_cov_kernel_symmetric_in_indices():
     rates = rates_by_quadrature(3)
-    for y in (0.1, 0.4, 0.7, 0.95):
-        a, _ = cov_kernel(y, 1, 2, 3, rates)
-        b, _ = cov_kernel(y, 2, 1, 3, rates)
-        assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
+    value, _ = cov_kernel([0.1, 0.4, 0.7, 0.95], 3, rates)
+    assert value[:, 0, 1] == pytest.approx(value[:, 1, 0], rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
@@ -131,12 +131,15 @@ def test_cov_kernel_matches_scalar_reference(k):
     # the array kernel against a term-by-term scalar evaluation; the two
     # differ only in rounding, which the largest piece bounds
     rates = rates_by_quadrature(k)
-    for y in (0.05, 0.3, 0.7, 0.95, 0.999):
+    ys = [0.05, 0.3, 0.7, 0.95, 0.999]
+    value, pieces = cov_kernel(ys, k, rates)
+    max_term = pieces.max(axis=0)
+    for n, y in enumerate(ys):
         for i in range(1, k):
             for j in range(1, k):
-                value, max_term = cov_kernel(y, i, j, k, rates)
                 want = oracles.cov_kernel_at(y, i, j, k, rates, DEFAULT_INNER_NODES)
-                assert abs(value - want) <= 1e-13 * max_term
+                got = value[n, i - 1, j - 1]
+                assert abs(got - want) <= 1e-13 * max_term[n, i - 1, j - 1]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -173,10 +176,11 @@ def test_cov_kernel_is_the_quadrature_integrand():
     rates = rates_by_quadrature(k, rule)
     res = cov_rates_by_quadrature(k, rule)
     weight = 2.0 / exp_weight(1.0, k) * rule.weights * exp_weight(rule.nodes, k)
+    kernel, _ = cov_kernel(rule.nodes, k, rates)
     for i in (1, 2):
         for j in (1, 2):
-            kernel = [cov_kernel(float(y), i, j, k, rates)[0] for y in rule.nodes]
-            assert weight @ kernel == pytest.approx(res.matrix[i - 1, j - 1], rel=1e-13)
+            got = weight @ kernel[:, i - 1, j - 1]
+            assert got == pytest.approx(res.matrix[i - 1, j - 1], rel=1e-13)
 
 
 def test_quadrature_and_extrapolation_agree():
@@ -211,6 +215,29 @@ def test_extrapolation_meets_quadrature_within_its_error(k):
     cov_tol = q.diagnostics["cov_est_abs_error"] + 1e-15
     assert np.abs(e.cov_rates - q.cov_rates).max() < cov_tol
     assert np.abs(e.rates - q.rates).max() < 1e-15
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_rational_twin_cov_rates_meet_both_routes(k):
+    # the rational twins' covariance rates at n = 100, rounded once; they
+    # have settled, moving by less than 1e-18 from n = 90, so they meet the
+    # extrapolation within 1e-15 absolute and the quadrature within its own
+    # cov_est_abs_error
+    n, d = 100, k - 1
+    g = moments.mean_recursion_exact(k, n)
+    second = moments.cross_moment_recursion_exact(k, n)
+
+    def cov_rate(m):
+        return [
+            [(second[m][i][j] - g[m][i] * g[m][j]) / (m + k) for j in range(d)] for i in range(d)
+        ]
+
+    twin, earlier = cov_rate(n), cov_rate(n - 10)
+    assert max(abs(float(a - b)) for ra, rb in zip(twin, earlier) for a, b in zip(ra, rb)) < 1e-18
+    twin = np.array(twin, dtype=float)
+    assert np.abs(twin - constants_by_extrapolation(k).cov_rates).max() <= 1e-15
+    q = constants_by_quadrature(k)
+    assert np.abs(twin - q.cov_rates).max() <= q.diagnostics["cov_est_abs_error"]
 
 
 T_GRID = np.linspace(-5, 5, 41)

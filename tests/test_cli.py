@@ -1,6 +1,8 @@
 """Command line surface: schemas, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -175,6 +177,73 @@ def test_report_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "k,quantity,route,i,j,value"
     assert any(line.startswith("2,rate,quadrature,1") for line in lines)
+
+
+def _csv_and_payload(capsys, *argv):
+    """The CSV rows of one command line, and the JSON payload of the same line."""
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, env = run_json(capsys, *argv)
+    assert code == 0
+    return list(csv.reader(io.StringIO(out))), env["payload"]
+
+
+def _entry(values, cells, names):
+    """The entry of a JSON array that a CSV row names by its index cells (i and j from 1)."""
+    for name, cell in zip(names, cells):
+        if cell:
+            values = values[int(cell) - (name in ("i", "j"))]
+    return values
+
+
+def _assert_rows_are_the_arrays(rows, arrays, lead):
+    # every row reads one entry of its array, and every entry has its row
+    header = rows[0]
+    for row in rows[1:]:
+        want = _entry(arrays[tuple(row[:lead])], row[lead:-1], header[lead:-1])
+        assert row[-1] == repr(want)
+    assert len(rows) - 1 == sum(np.size(a) for a in arrays.values())
+
+
+def test_moments_csv_rows_match_json(capsys):
+    rows, payload = _csv_and_payload(
+        capsys, "moments", "--k", "3", "--n-max", "12", "--tables", "mean,cov,projected"
+    )
+    assert rows[0] == ["table", "n", "i", "j", "order", "value"]
+    tables = {(e["table"],): e["values"] for e in payload["tables"]}
+    assert ["cov", "5", "1", "2", "", repr(tables["cov",][5][0][1])] in rows
+    assert ["standardized", "7", "", "", "4", repr(tables["standardized",][7][4])] in rows
+    assert ["mean", "0", "1", "", "", "0.0"] in rows
+    _assert_rows_are_the_arrays(rows, tables, 1)
+
+
+def test_simulate_csv_rows_match_json(capsys):
+    rows, payload = _csv_and_payload(
+        capsys, "simulate", "--n", "12", "--k", "3", "--replications", "500", "--seed", "4"
+    )
+    assert rows[0] == ["quantity", "i", "j", "order", "value"]
+    names = {"std_moment": "std_moments"}  # the other quantities are their payload keys
+    keys = ("mean", "mean_se", "cov", "std_moment", "std_moment_se")
+    arrays = {(key,): payload[names.get(key, key)] for key in keys}
+    assert ["cov", "1", "2", "", repr(payload["cov"][0][1])] in rows
+    assert ["std_moment", "", "", "3", repr(payload["std_moments"][3])] in rows
+    _assert_rows_are_the_arrays(rows, arrays, 1)
+
+
+def test_asympt_csv_rows_match_json(capsys):
+    rows, payload = _csv_and_payload(capsys, "asympt", "--k", "4")
+    assert rows[0] == ["k", "quantity", "route", "i", "j", "value"]
+    names = {"rate": "rates", "cov_rate": "cov_rates", "vacancy_rate": "vacancy_rate"}
+    arrays = {
+        ("4", quantity, route): payload[route][key]
+        for quantity, key in names.items()
+        for route in ("quadrature", "extrapolation")
+    }
+    vacancy = payload["extrapolation"]["vacancy_rate"]
+    assert ["4", "vacancy_rate", "extrapolation", "", "", repr(vacancy)] in rows
+    cov = payload["quadrature"]["cov_rates"]
+    assert ["4", "cov_rate", "quadrature", "3", "1", repr(cov[2][0])] in rows
+    _assert_rows_are_the_arrays(rows, arrays, 3)
 
 
 def test_verify_quick_line_per_check(capsys, tmp_path):
@@ -442,6 +511,8 @@ def _as_lists(obj, arrays: list):
         ("moments", "--k", "3", "--n-max", "60", "--tables", "mean,cov,projected",
          "--projection", "1,-0.5"),
         ("report", "--k-max", "3"),
+        ("simulate", "--n", "12", "--k", "3", "--replications", "500"),
+        ("asympt", "--k", "3"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -363,7 +363,7 @@ def test_splitting_law_two_sample(n, k):
 def test_stats_serialize_to_json():
     cfg = SimConfig(ProcessParams(12, 4), 5_000, seed=2, projection=(1.0, 0.5, 2.0))
     obj = simulate_batch(cfg).to_obj()
-    text = json.dumps(obj, sort_keys=True)
+    text = json.dumps(obj, sort_keys=True, default=np.ndarray.tolist)
     back = json.loads(text)
     assert back["n"] == 12 and back["k"] == 4
     assert back["projection"] == [1.0, 0.5, 2.0]
