@@ -24,6 +24,7 @@ caller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -93,11 +94,10 @@ class MeanTable:
 
 @dataclass
 class CrossMomentTable:
-    """Raw second moments and covariances of the count vector, per row length."""
+    """Covariances of the count vector, per row length: second moment minus mean outer mean."""
 
     k: int
-    second: np.ndarray  # (n_max+1, k-1, k-1)
-    cov: np.ndarray  # same shape
+    cov: np.ndarray  # (n_max+1, k-1, k-1)
     continued_from: int | None  # rows past it are cov_rate(continued_from) * (n+k)
 
     def cov_rate(self, n: int) -> np.ndarray:
@@ -263,32 +263,29 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
 
 
 def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
-    """Raw second moments of the count vector by split averaging.
+    """Covariances of the count vector by split averaging of its raw second moments.
 
     second[n] = 2/(n-k+1) * sum_h second[h]
-              + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose).
+              + 1/(n-k+1) * sum_h (outer(mean[h], mean[n-k-h]) + transpose),
 
-    Each covariance is Sigma (n+k) plus a remainder that dies faster than
-    geometrically, so the loop (``_settled_rows``) stops at the row t where
-    the rates Sigma = cov[t]/(t+k) settle; t depends on k alone.  If
-    t <= n_max, ``continued_from`` is t and later rows are cov[s] =
-    Sigma (s+k) and second[s] = cov[s] + outer(mean[s], mean[s]); else the
-    loop runs to n_max and it is None.
+    and cov[n] = second[n] - outer(mean[n], mean[n]).  Each covariance is
+    Sigma (n+k) plus a remainder that dies faster than geometrically, so the
+    loop (``_settled_rows``) stops at the row t where the rates
+    Sigma = cov[t]/(t+k) settle; t depends on k alone.  second and mean
+    exist only for the loop's rows.  If t <= n_max, ``continued_from`` is t
+    and later rows are cov[s] = Sigma (s+k); else the loop runs to n_max
+    and it is None.
     """
     g, packed, t = _settled_rows(k, n_max)
-    g = _mean_rows(g.T.tolist(), n_max)  # the mean columns continued from row t
     pair, done = _pair_columns(k - 1), len(packed)
-    second = g[:, :, None] * g[:, None, :]  # outer(mean[s], mean[s]) until overwritten
-    cov = np.empty_like(second)
+    cov = np.empty((n_max + 1, k - 1, k - 1))
     # mode "clip" (every index is in range) writes straight into out; "raise" buffers it
     np.take(packed, pair, axis=1, mode="clip", out=cov[:done])
-    cov[:done] -= second[:done]
-    np.take(packed, pair, axis=1, mode="clip", out=second[:done])
+    cov[:done] -= g[:, :, None] * g[:, None, :]
     if t is not None:
         s_k = np.arange(t + 1.0 + k, n_max + 1.0 + k)[:, None, None]
         np.multiply(s_k, cov[t] / (t + k), out=cov[done:])
-        second[done:] += cov[done:]
-    return CrossMomentTable(k, second, cov, t)
+    return CrossMomentTable(k, cov, t)
 
 
 def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]]]:
@@ -315,14 +312,15 @@ def cross_moment_recursion_exact(k: int, n_max: int) -> list[list[list[Fraction]
 def _binomial_rows(order: int) -> np.ndarray:
     """Rows 0..order of Pascal's triangle, zero-padded to order+1, as floats.
 
-    Built by Pascal's rule in Python ints and rounded once, so each entry
-    is the double nearest its binomial.
+    Built by Pascal's rule in Python ints, each row rounded once into the
+    table, so each entry is the double nearest its binomial.
     """
-    rows = [[1] + [0] * order]
-    for _ in range(order):
-        prev = rows[-1]
-        rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, order + 1)])
-    return np.array(rows, float)
+    table = np.zeros((order + 1, order + 1))
+    row = [1]
+    for m in range(order + 1):
+        table[m, : m + 1] = row
+        row = [1, *map(operator.add, row[:-1], row[1:]), 1]
+    return table
 
 
 def _recenter(mom: np.ndarray, binom: np.ndarray) -> np.ndarray:

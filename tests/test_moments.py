@@ -120,10 +120,16 @@ def test_cross_moment_covariance_n4_k2():
     assert table.cov[4][0][0] == pytest.approx(8 / 9, abs=1e-14)
 
 
+def _second(table):
+    """Raw second moments rebuilt from the public tables: cov + outer(mean, mean)."""
+    g = mean_recursion(table.k, len(table.cov) - 1).values
+    return table.cov + g[:, :, None] * g[:, None, :]
+
+
 def test_float_cross_moments_track_exact():
     ex = cross_moment_recursion_exact(2, 120)
-    fl = cross_moment_recursion(2, 120)
-    worst = max(abs(float(ex[n][0][0]) - fl.second[n][0][0]) for n in range(121))
+    fl = _second(cross_moment_recursion(2, 120))
+    worst = max(abs(float(ex[n][0][0]) - fl[n][0][0]) for n in range(121))
     assert worst < 1e-11
 
 
@@ -135,8 +141,8 @@ def _floats(table):
 def test_float_cross_moments_track_exact_every_entry(k, n_max):
     want = _floats(cross_moment_recursion_exact(k, n_max))
     fl = cross_moment_recursion(k, n_max)
-    np.testing.assert_allclose(fl.second, want, rtol=1e-12, atol=0)
-    assert np.array_equal(fl.second, fl.second.transpose(0, 2, 1))
+    np.testing.assert_allclose(_second(fl), want, rtol=1e-12, atol=0)
+    assert np.array_equal(fl.cov, fl.cov.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -144,7 +150,7 @@ def test_cross_moments_match_exact_at_every_table_end(k):
     # the loop fills k rows per step; every n_max ends a step somewhere else
     for n_max in range(0, 3 * k + 2):
         want = _floats(cross_moment_recursion_exact(k, n_max))
-        got = cross_moment_recursion(k, n_max).second
+        got = _second(cross_moment_recursion(k, n_max))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=str(n_max))
 
 
@@ -169,7 +175,6 @@ def test_cross_table_switches_and_keeps_its_rows(monkeypatch, k):
     full = cross_moment_recursion(k, 2000)
     assert full.continued_from is None
     # the rows the loop filled are the full recursion's, bit for bit
-    assert np.array_equal(t.second[: n0 + 1], full.second[: n0 + 1])
     assert np.array_equal(t.cov[: n0 + 1], full.cov[: n0 + 1])
     # later rows are the rates at n0 times n+k
     n = np.arange(n0 + 1, 2001)[:, None, None]
@@ -193,7 +198,7 @@ def test_cross_table_switch_row_depends_on_k_alone(k):
         assert cross_moment_recursion(k, n_max).continued_from == want, n_max
 
 
-def test_cross_table_holds_only_its_two_output_arrays():
+def test_cross_table_holds_only_its_output_array():
     tracemalloc.start()
     try:
         t = cross_moment_recursion(16, 4000)
@@ -201,7 +206,22 @@ def test_cross_table_holds_only_its_two_output_arrays():
     finally:
         tracemalloc.stop()
     assert t.continued_from is not None
-    assert peak < 1.25 * (t.second.nbytes + t.cov.nbytes)
+    assert peak < 1.25 * t.cov.nbytes
+
+
+@pytest.mark.parametrize("k, n_max", [(2, MAX_N_MAX), (8, 20000)])
+def test_cross_table_builds_no_mean_row_past_its_loop(monkeypatch, k, n_max):
+    # the loops settle at t = 37 and 127; no mean row past them is built
+    asked = []
+    extend = moments._extend_mean_column
+
+    def spy(column, k, last_row):
+        asked.append(last_row)
+        return extend(column, k, last_row)
+
+    monkeypatch.setattr(moments, "_extend_mean_column", spy)
+    assert cross_moment_recursion(k, n_max).continued_from < 1000
+    assert asked and max(asked) < 1000
 
 
 def test_projected_raw_matches_enumerator():
