@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MeanTable",
@@ -62,6 +63,7 @@ CONTINUATION_TOL = 1e-12
 MAX_K = 64
 MAX_N_MAX = 50_000
 MAX_ORDER = 1029  # C(1030, 515) lies beyond the double range
+_DRIFT_BLOCK_FLOATS = 1 << 17  # entries of one block of mean_drift_bound: 1 MB
 
 
 def _check_k(k: int) -> None:
@@ -281,7 +283,8 @@ def cross_moment_recursion(k: int, n_max: int) -> CrossMomentTable:
     cov = np.empty((n_max + 1, k - 1, k - 1))
     # mode "clip" (every index is in range) writes straight into out; "raise" buffers it
     np.take(packed, pair, axis=1, mode="clip", out=cov[:done])
-    cov[:done] -= g[:, :, None] * g[:, None, :]
+    for i in range(k - 1):  # a column at a time: no (done, k-1, k-1) temporary
+        cov[:done, i] -= g[:, i, None] * g
     if t is not None:
         s_k = np.arange(t + 1.0 + k, n_max + 1.0 + k)[:, None, None]
         np.multiply(s_k, cov[t] / (t + k), out=cov[done:])
@@ -539,21 +542,21 @@ def averaging_recursion_limit(
 
     For beta > 1 the sequence converges to alpha*(beta+1)/(beta-1); the
     result reports the terminal value, the predicted limit, and their gap.
-    Runs in O(n_max) by carrying sum j**beta * a_j.
+    Runs in O(n_max) time and O(k) memory by carrying sum j**beta * a_j.
     """
     if beta <= 1:
         raise ValueError(f"beta must exceed 1, got beta={beta}")
     _check_k(k)
     if n_max <= k:
         raise ValueError("n_max must exceed k")
-    a = [0.0] * (n_max + 1)  # rows 0..k stay at the zero seed
+    a = [0.0] * k  # a[n-k] sits in slot n % k until a[n] takes it; rows 0..k are 0
     weighted_sum = 0.0
     for n in range(k + 1, n_max + 1):
         t = n - k
-        weighted_sum += t**beta * a[t]
-        a[n] = alpha + 2.0 * weighted_sum / ((n - k + 1) * n**beta)
+        weighted_sum += t**beta * a[n % k]
+        a[n % k] = alpha + 2.0 * weighted_sum / ((n - k + 1) * n**beta)
     predicted = alpha * (beta + 1.0) / (beta - 1.0)
-    return AveragingLimitResult(a[n_max], predicted, abs(a[n_max] - predicted))
+    return AveragingLimitResult(a[n_max % k], predicted, abs(a[n_max % k] - predicted))
 
 
 def mean_drift_bound(k: int, n_max: int) -> DriftBoundResult:
@@ -562,12 +565,26 @@ def mean_drift_bound(k: int, n_max: int) -> DriftBoundResult:
     For each n the drift at split point j is mean[j] + mean[n-k-j] - mean[n];
     linear growth cancels exactly, so the norm stays bounded and its per-n
     maximum settles to a constant once the mean rates have converged.
+
+    Split points j and L-j (L = n-k) give the same sum, so only j <= L/2
+    are formed, for up to 32 consecutive n in one C-contiguous (rows, j,
+    k-1) block.  Its rows are summed as a per-n loop sums them, and sqrt,
+    being monotone, is taken after the max over j: the loop's bits.
     """
     _check_kn(k, n_max)
     g = mean_recursion(k, n_max).values
     per_n = np.zeros(n_max + 1)
-    for n in range(k, n_max + 1):
-        L = n - k
-        block = g[: L + 1] + g[L::-1] - g[n]
-        per_n[n] = float(np.sqrt((block * block).sum(axis=1)).max())
+    L, last = 0, n_max - k
+    while L <= last:
+        # rows <= L + 1 keeps the split points j <= L1/2 within 0..L of the first row
+        width = (L + 33) // 2 * (k - 1)  # entries per row of a block of 32
+        rows = min(32, L + 1, last - L + 1, max(1, _DRIFT_BLOCK_FLOATS // width))
+        L1, J = L + rows - 1, (L + rows + 1) // 2
+        # window w holds g[L1 - w - j]: reversed, the rows of L..L1
+        partner = sliding_window_view(g[::-1][n_max - L1 : n_max - L + J], J, axis=0)[::-1]
+        block = np.add(g[:J], partner.swapaxes(1, 2), order="C")
+        block -= g[L + k : L1 + k + 1, None]
+        block *= block
+        per_n[L + k : L1 + k + 1] = np.sqrt(block.sum(axis=-1).max(axis=1))
+        L += rows
     return DriftBoundResult(k, float(per_n.max()), per_n)

@@ -182,7 +182,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _offsets(bits: np.random.BitGenerator, starts: np.ndarray) -> np.ndarray:
-    """One uniform offset on [0, s) for each entry s of ``starts`` (uint64, 1 <= s < 2**32).
+    """One uniform offset on [0, s) for each entry s of ``starts`` (unsigned, 1 <= s < 2**32).
 
     Lemire's multiply-shift (D. Lemire, "Fast Random Integer Generation in
     an Interval", ACM TOMACS 2019): the top 32 bits x of one raw word give
@@ -190,14 +190,14 @@ def _offsets(bits: np.random.BitGenerator, starts: np.ndarray) -> np.ndarray:
     x * s mod 2**32 fall below 2**32 mod s, taken as (2**32 - s) % s, are
     rejected.  Rejected entries are redrawn, in index order, from the same
     stream until none is left.  Only low bits below s can fall below that
-    threshold, so it is computed for those entries alone.  Everything stays
-    uint64: numpy would take uint64 times int64 to float64.
+    threshold, so it is computed for those entries alone, in uint64: 2**32
+    does not fit uint32, and numpy takes uint64 times int64 to float64.
     """
     product = (bits.random_raw(starts.size) >> 32) * starts
     redo = np.flatnonzero((product & _LOW_BITS) < starts)
     while True:
         s = starts.take(redo)
-        redo = redo[(product.take(redo) & _LOW_BITS) < (2**32 - s) % s]
+        redo = redo[(product.take(redo) & _LOW_BITS) < (np.uint64(2**32) - s) % s]
         if redo.size == 0:
             return product >> 32
         product[redo] = (bits.random_raw(redo.size) >> 32) * starts.take(redo)
@@ -217,31 +217,33 @@ def _simulate_chunk(
     the end of the chunk.  At small n that is once or twice per chunk
     instead of a chunk-sized tally every round; at large n it bounds the
     memory the records hold.  Runs are selected by index (``take``), which
-    costs less than boolean masks on these arrays.
+    costs less than boolean masks on these arrays.  The row, run and offset
+    lanes are int32 below n = 2**31, the records and tallies int64.
     """
     n, k = params.n, params.k
+    lane, unsigned = (np.int32, np.uint32) if n < 2**31 else (np.int64, np.uint64)
     counts = np.zeros(m * (k - 1), dtype=np.int64)
     hats = np.zeros(m, dtype=np.int64)
     flush_at = max(counts.size, _TALLY_BATCH)
     cells: list[np.ndarray] = []
     opened: list[np.ndarray] = []
     pending = 0
-    row = np.arange(m)
-    run = np.full(m, n, dtype=np.int64)
+    row = np.arange(m, dtype=lane)
+    run = np.full(m, n, dtype=lane)
     while True:
         short = np.flatnonzero((run >= 1) & (run < k))
-        cells.append(row.take(short) * (k - 1) + run.take(short) - 1)
+        cells.append(np.multiply(row.take(short), k - 1, dtype=np.int64) + run.take(short) - 1)
         keep = np.flatnonzero(run >= k)
         row, run = row.take(keep), run.take(keep)
         opened.append(row)
         pending += short.size + keep.size
         if pending >= flush_at or row.size == 0:
             counts += np.bincount(np.concatenate(cells), minlength=counts.size)
-            hats += np.bincount(np.concatenate(opened), minlength=m)
+            hats += np.bincount(np.concatenate(opened, dtype=np.int64), minlength=m)
             cells, opened, pending = [], [], 0
         if row.size == 0:
             break
-        offset = _offsets(rng.bit_generator, (run - (k - 1)).view(np.uint64)).view(np.int64)
+        offset = _offsets(rng.bit_generator, (run - (k - 1)).view(unsigned)).astype(lane)
         row = np.concatenate([row, row])
         run = np.concatenate([offset, run - k - offset])
 

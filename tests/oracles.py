@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spacings.moments import mean_recursion_exact
+from spacings.moments import mean_recursion, mean_recursion_exact
 
 StateKey = tuple[tuple[int, ...], int]
 
@@ -140,6 +140,32 @@ def mean_recursion_cumulative(k: int, n_max: int) -> np.ndarray:
         total = t
         g[n] = 2.0 * total / (n - k + 1)
     return g
+
+
+def drift_per_n(k: int, n_max: int) -> np.ndarray:
+    """max_j || mean[j] + mean[n-k-j] - mean[n] ||_2 for each n, one numpy step per n.
+
+    Every split point j = 0..n-k is formed, and the root taken of every
+    squared norm before the max.
+    """
+    g = mean_recursion(k, n_max).values
+    per_n = np.zeros(n_max + 1)
+    for n in range(k, n_max + 1):
+        L = n - k
+        block = g[: L + 1] + g[L::-1] - g[n]
+        per_n[n] = float(np.sqrt((block * block).sum(axis=1)).max())
+    return per_n
+
+
+def averaging_recursion_final(alpha: float, beta: float, k: int, n_max: int) -> float:
+    """a[n_max] of a_n = alpha + 2/(n-k+1) * sum_{j<=n-k} (j/n)**beta * a_j, every row held."""
+    a = [0.0] * (n_max + 1)
+    weighted_sum = 0.0
+    for n in range(k + 1, n_max + 1):
+        t = n - k
+        weighted_sum += t**beta * a[t]
+        a[n] = alpha + 2.0 * weighted_sum / ((n - k + 1) * n**beta)
+    return a[n_max]
 
 
 def recompute_weight(pool) -> int:

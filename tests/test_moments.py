@@ -209,6 +209,18 @@ def test_cross_table_holds_only_its_output_array():
     assert peak < 1.25 * t.cov.nbytes
 
 
+def test_cross_table_ending_before_its_settle_row_makes_no_full_size_temporary():
+    # (64, 300) ends before its loop settles, so every row is a loop row
+    tracemalloc.start()
+    try:
+        t = cross_moment_recursion(64, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.continued_from is None
+    assert peak < 1.7 * t.cov.nbytes
+
+
 @pytest.mark.parametrize("k, n_max", [(2, MAX_N_MAX), (8, 20000)])
 def test_cross_table_builds_no_mean_row_past_its_loop(monkeypatch, k, n_max):
     # the loops settle at t = 37 and 127; no mean row past them is built
@@ -457,6 +469,25 @@ def test_averaging_requires_beta_above_one():
         averaging_recursion_limit(alpha=1.0, beta=1.0, k=2, n_max=100)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, k, N",
+    [(1.0, 2.0, 2, 100_000), (2.0, 3.0, 2, 50_000), (0.0, 2.0, 3, 2000), (1.0, 2.5, 5, 3001)],
+)
+def test_averaging_ring_of_k_slots_keeps_the_bits_of_every_row(alpha, beta, k, N):
+    res = averaging_recursion_limit(alpha, beta, k, N)
+    assert res.a_final == oracles.averaging_recursion_final(alpha, beta, k, N)
+
+
+def test_averaging_holds_k_values_not_n_max():
+    tracemalloc.start()
+    try:
+        averaging_recursion_limit(1.0, 2.0, 2, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_averaging_matches_literal_sum():
     # O(N^2) restatement of the same recursion
     alpha, beta, k, N = 1.0, 2.0, 2, 800
@@ -479,3 +510,14 @@ def test_drift_bound_tail_settles():
     res = mean_drift_bound(3, 400)
     tail = res.per_n[100:]
     assert np.all(np.diff(tail) <= 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 17, 33, 64])
+def test_drift_bound_blocks_keep_the_bits_of_a_per_n_loop(k):
+    # k = 9 and 17 sum 8 or more columns, numpy's pairwise order
+    sizes = {k, k + 1, k + 2, 2 * k + 1, 63, 64, 65, 257, 400} | ({1000} if k <= 9 else set())
+    for n_max in sorted(sizes):
+        want = oracles.drift_per_n(k, n_max)
+        res = mean_drift_bound(k, n_max)
+        assert np.array_equal(res.per_n, want), n_max
+        assert res.sup == want.max()

@@ -160,6 +160,16 @@ def test_chunk_tallies_equal_per_round_tallies(n, k):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31 + 5])
+def test_chunk_lanes_either_side_of_the_int32_boundary(n):
+    # run lengths up to 2**31 - 1 ride int32 lanes, longer ones int64
+    params = ProcessParams(n, 2**20)
+    got = _simulate_chunk(params, 2, _chunk_rng(3, 0))
+    want = oracles.simulate_chunk_per_round(n, 2**20, 2, _chunk_rng(3, 0))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
 class ScriptedBits:
     """Stands in for a bit generator; hands out preset raw words and logs each request."""
 
@@ -213,12 +223,14 @@ def test_offsets_redraw_rejected_entries_in_index_order():
         ((2**31 + 1) << 32) | junk,  # entry 0: kept
         12345,  # never drawn
     ]
-    bits = ScriptedBits(script)
-    got = _offsets(bits, np.array([s, 5, s, s], dtype=np.uint64))
-    assert bits.requests == [4, 3, 1] and bits.words == [12345]
-    x = [2**31 + 1, 2**32 - 1, 9, 17]
-    assert got.tolist() == [(xi * si) >> 32 for xi, si in zip(x, [s, 5, s, s])]
-    assert got.tolist() == [7 << 28, 4, 7, 14]
+    for dtype in (np.uint64, np.uint32):  # the engine's int64 and int32 lanes
+        bits = ScriptedBits(script)
+        got = _offsets(bits, np.array([s, 5, s, s], dtype=dtype))
+        assert got.dtype == np.uint64
+        assert bits.requests == [4, 3, 1] and bits.words == [12345]
+        x = [2**31 + 1, 2**32 - 1, 9, 17]
+        assert got.tolist() == [(xi * si) >> 32 for xi, si in zip(x, [s, 5, s, s])]
+        assert got.tolist() == [7 << 28, 4, 7, 14]
 
 
 def test_oversized_rows_are_rejected_before_any_work(monkeypatch):
