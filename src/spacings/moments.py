@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -145,40 +146,23 @@ class DriftBoundResult:
     per_n: np.ndarray  # per_n[n] = max_j || mean[j] + mean[n-k-j] - mean[n] ||_2
 
 
-def _extend_mean_column(v: list[float], k: int, n_max: int) -> list[float]:
-    """Append rows len(v)..n_max of E(c . X_n) to ``v``, which holds rows 0..len(v)-1, k among them.
+def _mean_column(c: Sequence[float], n_max: int, rows: MutableSequence[float]) -> MutableSequence[float]:
+    """Append rows 0..n_max of E(c . X_n) to the empty ``rows``, which it returns.
 
     Rows n < k hold c_n (a single run of length n), rows 0 and k hold 0;
-    the recursion is linear, so later rows are E(c . X_n).  It runs on
-    Python floats: the same IEEE operations in the same order as a numpy
-    step per row, so the same bits, without numpy's per-call cost; a column
-    continued from its last row has the bits of one built in one go.
+    the recursion of :func:`mean_recursion` is linear, so later rows are
+    E(c . X_n).  Row n reads row n-k as ``rows[-k]``: a list keeps every
+    row, a ``deque(maxlen=k)`` the last k.  Python floats take the same
+    IEEE operations in the same order as a numpy step per row, so the same
+    bits, without numpy's per-call cost.
     """
-    prev = v[-1]
-    for L in range(len(v) - k + 1, n_max - k + 2):  # row n = L + k - 1 reads row n - k = L - 1
-        prev = ((L - 1) * prev + 2.0 * v[L - 1]) / L
-        v.append(prev)
-    return v
-
-
-def _mean_column(c: list[float], n_max: int) -> list[float]:
-    """E(c . X_n) for n = 0..n_max, by the one-step recursion of :func:`mean_recursion`."""
     k = len(c) + 1
-    return _extend_mean_column([0.0, *c, 0.0], k, n_max)[: n_max + 1]
-
-
-def _mean_rows(columns: list[list[float]], n_max: int) -> np.ndarray:
-    """Rows 0..n_max of the mean table, its columns (one per unit vector) extended in place."""
-    k = len(columns) + 1
-    g = np.empty((n_max + 1, k - 1))
-    for col, v in enumerate(columns):
-        g[:, col] = _extend_mean_column(v, k, n_max)[: n_max + 1]
-    return g
-
-
-def _unit_columns(k: int) -> list[list[float]]:
-    """Rows 0..k of each column of the mean table, the start of ``_extend_mean_column``."""
-    return [[0.0, *unit, 0.0] for unit in np.eye(k - 1).tolist()]
+    rows.extend([0.0, *c, 0.0][: n_max + 1])
+    prev, back = rows[-1], -k
+    for L in range(2, n_max - k + 2):  # row n = L + k - 1
+        prev = ((L - 1) * prev + 2.0 * rows[back]) / L
+        rows.append(prev)
+    return rows
 
 
 def mean_recursion(k: int, n_max: int) -> MeanTable:
@@ -186,10 +170,14 @@ def mean_recursion(k: int, n_max: int) -> MeanTable:
 
     (n-k+1) * mean[n] = (n-k) * mean[n-1] + 2 * mean[n-k]   for n > k,
     with deterministic rows below k and a zero row at n = k.  Column j-1
-    is ``_mean_column`` of the unit vector e_j.
+    is ``_mean_column`` of e_j, in a C-contiguous table: the order in which
+    the products of ``_settled_rows`` sum, so their bits, follow the layout.
     """
     _check_kn(k, n_max)
-    return MeanTable(k, _mean_rows(_unit_columns(k), n_max))
+    g = np.empty((n_max + 1, k - 1))
+    for col, unit in enumerate(np.eye(k - 1).tolist()):
+        g[:, col] = _mean_column(unit, n_max, [])
+    return MeanTable(k, g)
 
 
 def mean_recursion_exact(k: int, n_max: int) -> list[list[Fraction]]:
@@ -224,16 +212,16 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
     just those rows.  The loop stops after the first full step whose last
     row t has rates cov[t]/(t+k) within ``CONTINUATION_TOL`` of those
     ``STABILIZATION_LOOKBACK`` rows earlier, entry (i, j) in units of
-    sqrt(Sigma_ii Sigma_jj).  Both arrays grow by doubling up to rows
-    0..cap, the mean columns continued from their last row; if no t <= cap
+    sqrt(Sigma_ii Sigma_jj).  Both arrays start at rows 0..16(k+1), past t
+    at every k (37 at k = 2 to 959 at k = 64), and double up to rows
+    0..cap, the mean rows rebuilt by :func:`mean_recursion`; if no t <= cap
     settles they hold those rows and t is None.
     """
     _check_kn(k, cap)
     i_idx, j_idx = np.triu_indices(k - 1)
     diag = np.flatnonzero(i_idx == j_idx)  # the packed column of each entry (i, i)
-    size = min(cap, MAX_K)  # at least k rows, so one doubling covers any step
-    columns = _unit_columns(k)
-    g = _mean_rows(columns, size)
+    size = min(cap, 16 * (k + 1))  # at least k rows, so one doubling covers any step
+    g = mean_recursion(k, size).values
     packed = np.zeros((size + 1, len(i_idx)))
     for n in range(1, min(k, size + 1)):
         packed[n, diag[n - 1]] = 1.0
@@ -245,7 +233,7 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
     for n in range(k, cap + 1, k):
         if n + k > len(packed) and size < cap:  # the step fills rows past the arrays
             size = min(2 * size, cap)
-            g = _mean_rows(columns, size)
+            g = mean_recursion(k, size).values
             packed = np.concatenate([packed, np.zeros((size + 1 - len(packed), len(i_idx)))])
         lo, hi = n - k, min(n, steps)
         # the mean term of row m + k: sum_h outer(mean[h], mean[m-h]) + transpose
@@ -392,8 +380,8 @@ def projected_moment_recursion(
 
     from their deterministic rows n <= k, and one loop runs both.  r is
     the projected mean rate at n_max, E(c . X_{n_max})/(n_max+k) from the
-    single column ``_mean_column(c, n_max)``, so Z_n is centred up to
-    rounding.
+    single column ``_mean_column`` seeded with c, of which only the last k
+    rows are kept, so Z_n is centred up to rounding.
     ``standardized`` takes the central moments, scaled by n**(-m/2), from
     Z without cancellation; ``raw`` holds the moments of c . X_n.
 
@@ -423,7 +411,7 @@ def projected_moment_recursion(
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    r = _mean_column(list(c), n_max)[n_max] / (n_max + k)
+    r = _mean_column(c, n_max, deque(maxlen=k))[-1] / (n_max + k)
     binom = _binomial_rows(order)
     table, n0, rates = _split_tables(c, k, n_max, order, r, binom)
     W, done = order + 1, len(table)

@@ -29,7 +29,7 @@ import math
 import os
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -423,8 +423,8 @@ def simulate_batch(config: SimConfig) -> SampleStats:
 
     The chunks go through ``map_chunks``, each reduced by ``_chunk_sums``
     against one shift, which keeps the high powers well-conditioned: the
-    rounded expected projected count round(E(c . X_n)), from the mean
-    recursion's ``_mean_column`` seeded with c, so a function of (params,
+    rounded expected projected count round(E(c . X_n)), from the last k
+    rows of ``moments._mean_column`` seeded with c, so a function of (params,
     projection) alone.  The int64 sums merge exactly and the power sums by
     one ``math.fsum`` per power, in chunk order, so neither depends on the
     worker count.  The power means, moments about the shift, go through
@@ -436,7 +436,7 @@ def simulate_batch(config: SimConfig) -> SampleStats:
     n, k = params.n, params.k
     c = config.projection_vector()
     order = config.moment_order
-    shift = float(np.round(_mean_column(c.tolist(), n)[n]))
+    shift = float(np.round(_mean_column(c.tolist(), n, deque(maxlen=k))[-1]))
     (parts,), _ = map_chunks(
         functools.partial(_chunk_sums, c, shift, order),
         [(params, config.replications, config.seed)],

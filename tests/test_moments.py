@@ -68,23 +68,28 @@ def test_float_mean_tracks_exact():
     assert worst < 1e-12
 
 
-@pytest.mark.parametrize("k, n_max", [(2, 3000), (3, 2000), (8, 600), (3, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "k, n_max",
+    [(2, 3000), (3, 2000), (8, 600), (3, 3), (5, 2), (2, 0), (2, 1), (8, 8), (8, 9), (64, 1000)],
+)
 def test_float_mean_is_bit_identical_to_numpy_step(k, n_max):
     want = oracles.mean_recursion_numpy_step(k, n_max)
     assert np.array_equal(mean_recursion(k, n_max).values, want)
 
 
-def test_mean_columns_continued_from_their_last_row_keep_the_bits():
-    columns = moments._unit_columns(3)
-    assert np.array_equal(moments._mean_rows(columns, 2), mean_recursion(3, 2).values)
-    for n_max in (10, 11, 500):
-        assert np.array_equal(moments._mean_rows(columns, n_max), mean_recursion(3, n_max).values)
-    assert np.array_equal(moments._mean_rows(columns, 7), mean_recursion(3, 7).values)
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_mean_tables_are_c_contiguous(k):
+    # The cross loop's products g[:m+1].T @ g[m::-1] sum in an order that
+    # BLAS picks from the layout: an F-ordered mean table changed the cov
+    # bytes at k >= 3 while every other test stayed green.
+    assert mean_recursion(k, 500).values.flags.c_contiguous
+    assert moments._settled_rows(k, MAX_N_MAX)[0].flags.c_contiguous
+    assert moments._settled_rows(k, 20)[0].flags.c_contiguous
 
 
 @pytest.mark.parametrize("k", [*range(2, 9), 33, 64])
 def test_settled_rows_hold_the_mean_table_bit_for_bit(k):
-    # the mean columns grow with the cross rows, each doubling continuing them
+    # the mean rows grow with the cross rows, rebuilt at each doubling
     g, packed, t = moments._settled_rows(k, MAX_N_MAX)
     assert t is not None and len(g) == len(packed) == t + 1
     assert np.array_equal(g, mean_recursion(k, t).values)
@@ -223,17 +228,18 @@ def test_cross_table_ending_before_its_settle_row_makes_no_full_size_temporary()
 
 @pytest.mark.parametrize("k, n_max", [(2, MAX_N_MAX), (8, 20000)])
 def test_cross_table_builds_no_mean_row_past_its_loop(monkeypatch, k, n_max):
-    # the loops settle at t = 37 and 127; no mean row past them is built
+    # the loops settle at t = 37 and 127; no mean row past them is built,
+    # and no column twice: the first 16(k+1) rows hold t
     asked = []
-    extend = moments._extend_mean_column
+    column = moments._mean_column
 
-    def spy(column, k, last_row):
+    def spy(c, last_row, rows):
         asked.append(last_row)
-        return extend(column, k, last_row)
+        return column(c, last_row, rows)
 
-    monkeypatch.setattr(moments, "_extend_mean_column", spy)
+    monkeypatch.setattr(moments, "_mean_column", spy)
     assert cross_moment_recursion(k, n_max).continued_from < 1000
-    assert asked and max(asked) < 1000
+    assert len(asked) == k - 1 and max(asked) < 1000
 
 
 def test_projected_raw_matches_enumerator():

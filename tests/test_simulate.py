@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -546,8 +547,20 @@ def test_simulate_batch_runs_past_the_recursions_bounds(n, k):
     assert k > MAX_K or n > MAX_N_MAX
     c = np.linspace(1.0, 2.0, k - 1)
     stats = simulate_batch(SimConfig(ProcessParams(n, k), 3, seed=4, projection=tuple(c)))
-    column = _mean_column(c.tolist(), n)
+    column = _mean_column(c.tolist(), n, [])  # every row, where the shift keeps the last k
     assert stats.shift == float(np.round(column[n]))
+
+
+def test_shift_keeps_no_list_of_the_rows_mean():
+    # the shift reads row n of the mean column alone, from its last k rows
+    tracemalloc.start()
+    try:
+        stats = simulate_batch(SimConfig(ProcessParams(100_000, 2), 1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.shift == 13534.0
+    assert peak < 2.5e6
 
 
 def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
