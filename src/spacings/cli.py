@@ -206,9 +206,12 @@ def _write(envelope: dict, out: str | None, fmt: str) -> None:
         return
     base = os.environ.get(_OUTPUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:  # a usage error, not a failed check
+        raise ValueError(f"cannot write --out {path}: {err.strerror or err}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -366,7 +369,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown tables {sorted(unknown)}")
     k, n_max = args.k, args.n_max
-    moments._check_kn(k, n_max)  # also when no table is asked for
+    moments._check_kn(k, n_max)  # every argument is checked, also when no table uses it
+    proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
+    if len(proj) != k - 1:
+        raise ValueError(f"projection must have length {k - 1}")
+    moments._check_order(args.order)
     tables = []
     diagnostics: dict[str, Any] = {}
     if "mean" in wanted:
@@ -376,7 +383,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         tables.append({"table": "cov", "values": ct.cov})
         diagnostics["cov"] = {"continued_from": ct.continued_from}
     if "projected" in wanted:
-        proj = _parse_projection(args.projection) or tuple([1.0] * (k - 1))
         pt = moments.projected_moment_recursion(proj, k, n_max, args.order)
         tables.append({"table": "raw", "values": pt.raw})
         tables.append({"table": "standardized", "values": pt.standardized})

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import MutableSequence, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MeanTable",
@@ -64,7 +63,6 @@ CONTINUATION_TOL = 1e-12
 MAX_K = 64
 MAX_N_MAX = 50_000
 MAX_ORDER = 1029  # C(1030, 515) lies beyond the double range
-_DRIFT_BLOCK_FLOATS = 1 << 17  # entries of one block of mean_drift_bound: 1 MB
 
 
 def _check_k(k: int) -> None:
@@ -555,24 +553,18 @@ def mean_drift_bound(k: int, n_max: int) -> DriftBoundResult:
     maximum settles to a constant once the mean rates have converged.
 
     Split points j and L-j (L = n-k) give the same sum, so only j <= L/2
-    are formed, for up to 32 consecutive n in one C-contiguous (rows, j,
-    k-1) block.  Its rows are summed as a per-n loop sums them, and sqrt,
-    being monotone, is taken after the max over j: the loop's bits.
+    are formed: one pass per j covers every row n >= k + 2j at once and
+    keeps the running max of the squared norms per n.  Each norm is summed
+    over one contiguous row of k-1 entries, as a per-n loop sums it, and
+    sqrt, being monotone, is taken once after the max: the loop's bits.
     """
     _check_kn(k, n_max)
     g = mean_recursion(k, n_max).values
-    per_n = np.zeros(n_max + 1)
-    L, last = 0, n_max - k
-    while L <= last:
-        # rows <= L + 1 keeps the split points j <= L1/2 within 0..L of the first row
-        width = (L + 33) // 2 * (k - 1)  # entries per row of a block of 32
-        rows = min(32, L + 1, last - L + 1, max(1, _DRIFT_BLOCK_FLOATS // width))
-        L1, J = L + rows - 1, (L + rows + 1) // 2
-        # window w holds g[L1 - w - j]: reversed, the rows of L..L1
-        partner = sliding_window_view(g[::-1][n_max - L1 : n_max - L + J], J, axis=0)[::-1]
-        block = np.add(g[:J], partner.swapaxes(1, 2), order="C")
-        block -= g[L + k : L1 + k + 1, None]
-        block *= block
-        per_n[L + k : L1 + k + 1] = np.sqrt(block.sum(axis=-1).max(axis=1))
-        L += rows
+    squared, last = np.zeros(n_max + 1), n_max - k
+    for j in range(last // 2 + 1):
+        drift = g[j] + g[j : last - j + 1]  # g[j] + g[L-j] for L = 2j..last
+        drift -= g[k + 2 * j :]
+        drift *= drift
+        np.maximum(squared[k + 2 * j :], drift.sum(axis=-1), out=squared[k + 2 * j :])
+    per_n = np.sqrt(squared)
     return DriftBoundResult(k, float(per_n.max()), per_n)

@@ -308,6 +308,7 @@ def test_bad_projection_is_a_usage_error(capsys):
     for argv in (
         ["simulate", "--n", "10", "--k", "2", "--projection", "1,2"],
         ["moments", "--k", "2", "--n-max", "10", "--tables", "projected", "--projection", "1,2"],
+        ["moments", "--k", "2", "--n-max", "10", "--tables", "mean", "--projection", "1,2"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
@@ -319,6 +320,7 @@ PROJECTION_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ("moments", "--k", "2", "--n-max", "6", "--tables", "projected", "--order", "2"),
+        pytest.param(("moments", "--k", "2", "--n-max", "6", "--tables", "mean"), id="moments_mean"),
         ("simulate", "--n", "10", "--k", "2", "--replications", "100", "--order", "2"),
     ],
     ids=lambda argv: argv[0],
@@ -372,6 +374,11 @@ def test_rule_node_count_over_max_exits_2(capsys):
           "--projection", "1e40"), "lower the order, n_max or the projection's scale"),
         (("simulate", "--n", "10", "--k", "2", "--replications", "5", "--projection", "1e308"),
          "lower the order or the projection's scale"),
+        # the order is checked whatever the tables
+        (("moments", "--k", "2", "--n-max", "10", "--tables", "mean", "--order", str(MAX_ORDER + 1)),
+         f"2..{MAX_ORDER}, got"),
+        (("moments", "--k", "2", "--n-max", "10", "--tables", "mean", "--order", "1"),
+         f"2..{MAX_ORDER}, got 1"),
     ],
 )
 def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
@@ -379,6 +386,16 @@ def test_arguments_one_past_their_bounds_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("out", ["/", "file/env.json"], ids=["directory", "under_a_file"])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, out):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out)  # "/" stays the root
+    code = main(["exact", "--n", "4", "--k", "2", "--out", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"cannot write --out {path}: " in captured.err
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"

@@ -520,10 +520,25 @@ def test_drift_bound_tail_settles():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 17, 33, 64])
 def test_drift_bound_blocks_keep_the_bits_of_a_per_n_loop(k):
+    # the name dates from the 32-row blocks, kept so the cases keep their ids;
     # k = 9 and 17 sum 8 or more columns, numpy's pairwise order
-    sizes = {k, k + 1, k + 2, 2 * k + 1, 63, 64, 65, 257, 400} | ({1000} if k <= 9 else set())
+    sizes = {0, 1, k - 1, k, k + 1, k + 2, 2 * k + 1, 63, 64, 65, 257, 400}
+    sizes |= {1000} if k <= 9 else set()
+    sizes |= {2000} if k <= 3 else set()
+    sizes |= {5000} if k == 2 else set()
     for n_max in sorted(sizes):
         want = oracles.drift_per_n(k, n_max)
         res = mean_drift_bound(k, n_max)
         assert np.array_equal(res.per_n, want), n_max
         assert res.sup == want.max()
+
+
+def test_drift_bound_holds_one_row_vector_per_pass():
+    tracemalloc.start()
+    try:
+        mean_drift_bound(3, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the mean table and a pass's (n_max+1, k-1) drift array take 16 KB each
+    assert peak < 200_000

@@ -2,7 +2,8 @@
 
 Check 12 validates each distinct state of a chunk once and counts every row.
 
-Also: a check that overruns its budget fails.
+Also: a check that overruns its budget fails, and check 11's
+measured string is pinned.
 """
 from __future__ import annotations
 
@@ -114,3 +115,9 @@ def test_a_check_that_overruns_its_budget_fails():
     result = verify._timed("x", 0.0, lambda: (True, "m"))
     assert not result.passed
     assert result.measured == "m (overran budget 0s)"
+
+
+def test_check_11_measured_string_is_pinned():
+    result = verify.check_drift_bound_tail()
+    assert result.passed
+    assert result.measured == "k=2: sup=1.333333 tail_monotone=True; k=3: sup=1.788854 tail_monotone=True"
