@@ -6,10 +6,12 @@ limits have closed integral forms against the weight
 
     exp_weight(y, k) = exp(2 * (y + y^2/2 + ... + y^(k-1)/(k-1))),
 
-which this module evaluates with Gauss-Legendre rules.  The covariance
-kernel is the bounded difference of two pieces that each grow like
-(1-y)^-2 near y = 1, so its integral loses more digits the closer the last
-node sits to 1; ``cov_rates_by_quadrature`` estimates that error.
+which this module evaluates with one Gauss-Legendre rule: the same nodes
+serve the outer integrals and, scaled onto [0, y], the inner integral of
+``mean_gf``.  The covariance kernel is the bounded difference of two pieces
+that each grow like (1-y)^-2 near y = 1; with one rule their quadrature
+errors cancel along with them, and ``cov_rates_by_quadrature`` estimates
+the rounding that is left.
 ``mean_gf`` and ``cov_kernel`` evaluate the integrands at an array of points.
 
 An independent route to the same constants is finite-n recursion plus
@@ -44,13 +46,13 @@ __all__ = [
     "constants_by_quadrature",
     "constants_by_extrapolation",
     "DEFAULT_OUTER_NODES",
-    "DEFAULT_INNER_NODES",
     "MAX_RULE_NODES",
     "COV_REL_TOL",
 ]
 
-DEFAULT_OUTER_NODES = 128
-DEFAULT_INNER_NODES = 64
+# one rule for every integral here; the kernel's pieces cancel only as far
+# as the outer and the inner integrals agree
+DEFAULT_OUTER_NODES = 64
 # leggauss(n) eigensolves an n x n matrix: 4096 nodes take about 134 MB
 MAX_RULE_NODES = 4096
 # relative accuracy callers need from the covariance quadrature (check 02)
@@ -113,14 +115,14 @@ def rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> np.nda
     return np.array([scale * float(base @ y**j) for j in range(1, k)])
 
 
-def mean_gf(y, k: int, inner: GaussLegendreRule | None = None) -> np.ndarray:
+def mean_gf(y, k: int, rule: GaussLegendreRule | None = None) -> np.ndarray:
     """Generating functions of the expected spacing counts at each point of y.
 
     gf[n, i-1] = 2 (1-y)^-2 exp_weight(y)^-1 * integral_0^y t^i (1-t) exp_weight(t) dt
     for i = 1..k-1 and the 1-D points 0 <= y[n] < 1; the coefficient of
     y^(n-k+1) in its series is the expected number of length-i spacings on
-    a row of n hooks.  The inner rule is mapped onto [0, y] at every point
-    at once; writing t^i = y^i x^i keeps every temporary at points x inner
+    a row of n hooks.  The rule is mapped onto [0, y] at every point at
+    once; writing t^i = y^i x^i keeps every temporary at points x nodes
     floats.
     """
     _check_k(k)
@@ -130,10 +132,10 @@ def mean_gf(y, k: int, inner: GaussLegendreRule | None = None) -> np.ndarray:
     outside = y[~((0.0 <= y) & (y < 1.0))]
     if outside.size:
         raise ValueError(f"the kernels need 0 <= y < 1, got y={outside[0]}")
-    inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
-    x = inner.nodes
+    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
+    x = rule.nodes
     t = y[:, None] * x[None, :]
-    f = (1.0 - t) * exp_weight(t, k) * inner.weights
+    f = (1.0 - t) * exp_weight(t, k) * rule.weights
     powers = np.arange(1, k)
     # y^i from t^i = y^i x^i, and one more y for the width of [0, y]
     integral = y[:, None] ** (powers + 1) * (f @ x[:, None] ** powers)
@@ -141,7 +143,7 @@ def mean_gf(y, k: int, inner: GaussLegendreRule | None = None) -> np.ndarray:
 
 
 def cov_kernel(
-    y, k: int, rates: Sequence[float], inner: GaussLegendreRule | None = None
+    y, k: int, rates: Sequence[float], rule: GaussLegendreRule | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariance kernel at each point of y and (i, j) pair, and its pieces.
 
@@ -151,9 +153,9 @@ def cov_kernel(
     Returns (value, pieces), both exactly symmetric in (i, j): value[n, i-1,
     j-1] is the kernel at y[n], and pieces[:, n, i-1, j-1] holds the
     magnitudes of its diagonal, product and rate-correction pieces.  The
-    points are checked by ``mean_gf``.
+    points are checked by ``mean_gf``, which integrates with ``rule``.
     """
-    gf = mean_gf(y, k, inner)
+    gf = mean_gf(y, k, rule)
     y = np.asarray(y, dtype=float)
     d = k - 1
     w = 1.0 - y
@@ -175,42 +177,41 @@ class CovQuadrature:
     """Covariance rates from one quadrature, with their error diagnostics per (i, j)."""
 
     matrix: np.ndarray
-    flagged: np.ndarray  # est_abs_error > COV_REL_TOL * |entry|
+    flagged: np.ndarray  # est_abs_error > COV_REL_TOL * sqrt(|matrix_ii matrix_jj|)
     est_abs_error: np.ndarray  # rounding and inherited input error
 
 
-def cov_rates_by_quadrature(
-    k: int,
-    rule: GaussLegendreRule | None = None,
-    inner: GaussLegendreRule | None = None,
-) -> CovQuadrature:
-    """Limiting covariance rates cov_rate_ij by outer quadrature of the kernel.
+def cov_rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> CovQuadrature:
+    """Limiting covariance rates cov_rate_ij by quadrature of the kernel.
 
     cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy,
     with the rates in the kernel's rate correction from
-    ``rates_by_quadrature(k, rule)``.
+    ``rates_by_quadrature(k, rule)`` and its mean generating functions from
+    ``mean_gf`` on the same rule.
 
     Returns the matrix with, per entry, an estimate of the absolute error
     carried to the integral.
     At each node that estimate takes eps times the largest piece, plus the
-    relative error the product piece inherits from the inner-rule mean
-    generating function, 2 (inner nodes + k + 6) eps, and the one the rate
-    correction inherits from the rates, 2 (k + 6) eps.  An entry is flagged
-    when the estimate exceeds ``COV_REL_TOL`` of its magnitude.
+    relative error the product piece inherits from the mean generating
+    function, 2 (nodes + k + 6) eps, and the one the rate correction
+    inherits from the rates, 2 (k + 6) eps.  An entry is flagged when the
+    estimate exceeds ``COV_REL_TOL`` in the unit of its row and column,
+    sqrt(|matrix_ii matrix_jj|), so a near-zero off-diagonal entry is
+    judged against the variances it is a covariance of.
     """
     _check_k(k)
     rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    inner = inner or GaussLegendreRule.make(DEFAULT_INNER_NODES)
     rates = rates_by_quadrature(k, rule)
-    value, pieces = cov_kernel(rule.nodes, k, rates, inner)
+    value, pieces = cov_kernel(rule.nodes, k, rates, rule)
     weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(rule.nodes, k)
     eps = np.finfo(float).eps
     node_err = eps * (
-        pieces.max(axis=0) + 2 * (len(inner.nodes) + k + 6) * pieces[1] + 2 * (k + 6) * pieces[2]
+        pieces.max(axis=0) + 2 * (len(rule.nodes) + k + 6) * pieces[1] + 2 * (k + 6) * pieces[2]
     )
     matrix = np.tensordot(weight, value, axes=1)
     err = np.tensordot(weight, node_err, axes=1)
-    return CovQuadrature(matrix, err > COV_REL_TOL * np.abs(matrix), err)
+    sd = np.sqrt(np.abs(np.diag(matrix)))
+    return CovQuadrature(matrix, err > COV_REL_TOL * np.outer(sd, sd), err)
 
 
 def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> float:
@@ -273,15 +274,10 @@ class AsymptoticConstants:
         return float(abs(j @ self.rates - self.vacancy_rate))
 
 
-def constants_by_quadrature(
-    k: int,
-    outer_nodes: int = DEFAULT_OUTER_NODES,
-    inner_nodes: int = DEFAULT_INNER_NODES,
-) -> AsymptoticConstants:
-    rule = GaussLegendreRule.make(outer_nodes)
-    inner = GaussLegendreRule.make(inner_nodes)
+def constants_by_quadrature(k: int) -> AsymptoticConstants:
+    rule = GaussLegendreRule.make(DEFAULT_OUTER_NODES)
     rates = rates_by_quadrature(k, rule)
-    cov = cov_rates_by_quadrature(k, rule, inner)
+    cov = cov_rates_by_quadrature(k, rule)
     vac = vacancy_rate_by_quadrature(k, rule)
     return AsymptoticConstants(
         k=k,
@@ -290,8 +286,7 @@ def constants_by_quadrature(
         vacancy_rate=vac,
         provenance="quadrature",
         diagnostics={
-            "outer_nodes": outer_nodes,
-            "inner_nodes": inner_nodes,
+            "nodes": DEFAULT_OUTER_NODES,
             "cancellation_flagged": bool(cov.flagged.any()),
             "cov_est_abs_error": float(cov.est_abs_error.max()),
         },

@@ -255,8 +255,6 @@ def _parser() -> argparse.ArgumentParser:
 
     ay = sub.add_parser("asympt", help="limiting constants by both routes")
     ay.add_argument("--k", type=int, required=True)
-    ay.add_argument("--nodes", type=int, default=asy.DEFAULT_OUTER_NODES)
-    ay.add_argument("--inner-nodes", type=int, default=asy.DEFAULT_INNER_NODES)
     _add_common(ay)
 
     ve = sub.add_parser("verify", help="run the full verification suite")
@@ -408,13 +406,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_asympt(args: argparse.Namespace) -> int:
-    quad = asy.constants_by_quadrature(args.k, args.nodes, args.inner_nodes)
+    quad = asy.constants_by_quadrature(args.k)
     ext = asy.constants_by_extrapolation(args.k)
-    env = build_envelope(
-        "asympt",
-        {"k": args.k, "nodes": args.nodes, "inner_nodes": args.inner_nodes},
-        _constants_block(args.k, quad, ext),
-    )
+    env = build_envelope("asympt", {"k": args.k}, _constants_block(args.k, quad, ext))
     _write(env, args.out, args.format)
     return 0
 

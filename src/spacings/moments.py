@@ -345,24 +345,21 @@ def _continued_rates(
     """Rates kappa_m(t)/(t+k) of the moment row ``window[0]``, if they hold.
 
     ``window`` holds rows t, t+1, ... of one table and tk = t + k.  The
-    rates times s+k give the later rows s by the recurrence of
-    :func:`_moments_from_cumulants`, one order at a time, so that a trial
-    ends (None) at the first order that misses the table by ``tol`` in
-    units of the standardized law, (kappa_2(t) (s+k)/tk)**(m/2).
+    rates times s+k give the later rows s by
+    :func:`_moments_from_cumulants`, and a trial fails (None) when any order
+    misses the table by ``tol`` in units of the standardized law,
+    (kappa_2(t) (s+k)/tk)**(m/2).
     """
     W = window.shape[1]
     mom, rows = window[0], window[1:]
     S = tk + np.arange(1.0, len(window))[:, None]
     unit = tol * (S * (mom[2] - mom[1] ** 2) / tk) ** (np.arange(W) / 2)
     rates = np.zeros(W)
-    cont = np.ones_like(rows)
     for p in range(1, W):
         # kappa_p = mom_p - sum_{j<p} C(p-1, j-1) kappa_j mom_{p-j}
         rates[p] = mom[p] / tk - (rates[1:p] * mom[p - 1 : 0 : -1]) @ binom[p - 1, : p - 1]
-        cont[:, p] = (S * rates[1 : p + 1] * cont[:, p - 1 :: -1]) @ binom[p - 1, :p]
-        if not (np.abs(cont[:, p] - rows[:, p]) < unit[:, p]).all():
-            return None
-    return rates
+    cont = _moments_from_cumulants(S * rates, binom)
+    return rates if (np.abs(cont - rows) < unit)[:, 1:].all() else None
 
 
 def projected_moment_recursion(

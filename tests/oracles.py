@@ -173,13 +173,13 @@ def recompute_weight(pool) -> int:
     return sum(max(g - pool.k + 1, 0) for g in pool.gaps)
 
 
-def cov_kernel_at(y: float, i: int, j: int, k: int, rates, inner_nodes: int) -> float:
+def cov_kernel_at(y: float, i: int, j: int, k: int, rates, nodes: int) -> float:
     """Covariance kernel at one y and one (i, j), term by term in floats.
 
-    The mean generating functions come from their own Gauss-Legendre rule
+    The mean generating functions come from an n-node Gauss-Legendre rule
     on [0, y]; the pieces are those of ``asymptotics.cov_kernel``.
     """
-    x, wx = np.polynomial.legendre.leggauss(inner_nodes)
+    x, wx = np.polynomial.legendre.leggauss(nodes)
     t, wt = y * (x + 1.0) / 2.0, y * wx / 2.0
 
     def weight(s):

@@ -12,7 +12,7 @@ import oracles
 import spacings.asymptotics as asy
 import spacings.moments as moments
 from spacings.asymptotics import (
-    DEFAULT_INNER_NODES,
+    DEFAULT_OUTER_NODES,
     MAX_RULE_NODES,
     GaussLegendreRule,
     cf_fixed_point_residual,
@@ -137,7 +137,7 @@ def test_cov_kernel_matches_scalar_reference(k):
     for n, y in enumerate(ys):
         for i in range(1, k):
             for j in range(1, k):
-                want = oracles.cov_kernel_at(y, i, j, k, rates, DEFAULT_INNER_NODES)
+                want = oracles.cov_kernel_at(y, i, j, k, rates, DEFAULT_OUTER_NODES)
                 got = value[n, i - 1, j - 1]
                 assert abs(got - want) <= 1e-13 * max_term[n, i - 1, j - 1]
 
@@ -153,13 +153,15 @@ def test_cov_matrix_symmetric_psd(k):
 
 def test_cov_diagnostics_report_cancellation():
     # the kernel vanishes at y=1 while its pieces do not: at default nodes
-    # the error estimate stays tiny and no entry misses 1e-8 relative
-    for k in range(2, 9):
+    # the error estimate stays tiny and no entry misses 1e-8 in the unit of
+    # its row and column, near-zero off-diagonal entries included
+    for k in range(2, 65):
         res = cov_rates_by_quadrature(k)
         assert np.max(res.est_abs_error) < 1e-10
         assert not res.flagged.any()
     # 1024 nodes crowd y=1, where the pieces grow like (1-y)^-2: the k=2
-    # entry is off by about 2e-9, beyond 1e-8 relative, and must say so
+    # entry is off by only 7.9e-12, but the estimate, about 4e-8, is beyond
+    # 1e-8 relative and must say so
     assert cov_rates_by_quadrature(2, GaussLegendreRule.make(1024)).flagged.any()
 
 
@@ -176,7 +178,7 @@ def test_cov_kernel_is_the_quadrature_integrand():
     rates = rates_by_quadrature(k, rule)
     res = cov_rates_by_quadrature(k, rule)
     weight = 2.0 / exp_weight(1.0, k) * rule.weights * exp_weight(rule.nodes, k)
-    kernel, _ = cov_kernel(rule.nodes, k, rates)
+    kernel, _ = cov_kernel(rule.nodes, k, rates, rule)
     for i in (1, 2):
         for j in (1, 2):
             got = weight @ kernel[:, i - 1, j - 1]
@@ -207,14 +209,21 @@ def test_extrapolation_shares_its_mean_table(k):
     assert np.array_equal(c.rates, moments.mean_recursion(k, t).rate(t))
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 24, 32, 48, 64])
+@pytest.mark.parametrize("k", [*range(2, 9), 16, 24, 32, 48, 64])
 def test_extrapolation_meets_quadrature_within_its_error(k):
-    # the settled rates are as good as the quadrature's own error estimate
+    # the settled rates are as good as the quadrature's own error estimate;
+    # the kernel's pieces cancel as far as the outer and the mean_gf
+    # integrals agree, and one rule serves both, so the quadrature is
+    # within 1e-12 and flags nothing
     q = constants_by_quadrature(k)
     e = constants_by_extrapolation(k)
-    cov_tol = q.diagnostics["cov_est_abs_error"] + 1e-15
-    assert np.abs(e.cov_rates - q.cov_rates).max() < cov_tol
+    gap = np.abs(e.cov_rates - q.cov_rates).max()
+    assert gap < q.diagnostics["cov_est_abs_error"] + 1e-15
+    assert gap < 1e-12
+    assert abs(e.vacancy_rate - q.vacancy_rate) < 5e-14
     assert np.abs(e.rates - q.rates).max() < 1e-15
+    assert q.diagnostics["nodes"] == DEFAULT_OUTER_NODES
+    assert not q.diagnostics["cancellation_flagged"]
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spacings import cli, exact, moments, simulate
-from spacings.asymptotics import MAX_RULE_NODES, constants_by_extrapolation
+from spacings.asymptotics import constants_by_extrapolation
 from spacings.moments import MAX_K, MAX_N_MAX, MAX_ORDER
 from spacings.cli import main, render
 
@@ -157,7 +157,7 @@ def test_asympt_both_routes(capsys):
     assert p["quadrature"]["rates"][0] == pytest.approx(math.exp(-2), abs=1e-12)
     assert p["route_gap"]["rates"] < 1e-8
     assert p["quadrature"]["identity_gap"] < 1e-12
-    assert env["config"] == {"k": 2, "nodes": 128, "inner_nodes": 64}
+    assert env["config"] == {"k": 2}
     n0 = constants_by_extrapolation(2).diagnostics["continued_from"]
     assert p["extrapolation"]["diagnostics"] == {"continued_from": n0}
 
@@ -345,11 +345,14 @@ def test_non_numeric_projection_names_the_option(capsys, argv, weight):
     assert f"--projection weights must be numbers, got {weight}\n" in captured.err
 
 
-def test_rule_node_count_over_max_exits_2(capsys):
-    code = main(["asympt", "--k", "2", "--nodes", str(MAX_RULE_NODES + 1)])
+@pytest.mark.parametrize("flag", ["--nodes", "--inner-nodes"])
+def test_asympt_takes_no_node_count(capsys, flag):
+    # one Gauss-Legendre rule of DEFAULT_OUTER_NODES serves every integral
+    with pytest.raises(SystemExit) as exit_info:
+        main(["asympt", "--k", "2", flag, "64"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert f"2..{MAX_RULE_NODES} nodes, got {MAX_RULE_NODES + 1}" in captured.err
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} 64" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -420,6 +423,25 @@ def test_scripts_exit_2_on_invalid_input(capsys, monkeypatch, argv, message):
     captured = capsys.readouterr()
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"{script}: error: {message}" in captured.err
+
+
+SCRIPT_RUNS = [
+    ("averaging_gap.py",),
+    ("sim_vs_exact.py", "--reps", "2000"),
+    ("clt_moments.py", "--reps", "2000"),
+]
+
+
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=[" ".join(argv) for argv in SCRIPT_RUNS])
+def test_scripts_run_to_exit_0(capsys, monkeypatch, argv):
+    script, *args = argv
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    except SystemExit as exit_info:
+        assert exit_info.code in (0, None)
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
 
 
 def _stdlib_json(obj) -> str:
