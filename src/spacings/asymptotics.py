@@ -32,7 +32,6 @@ from . import moments
 from .moments import _check_k, _pair_columns, _settled_rows
 
 __all__ = [
-    "GaussLegendreRule",
     "exp_weight",
     "rates_by_quadrature",
     "mean_gf",
@@ -46,44 +45,31 @@ __all__ = [
     "constants_by_quadrature",
     "constants_by_extrapolation",
     "DEFAULT_OUTER_NODES",
-    "MAX_RULE_NODES",
     "COV_REL_TOL",
 ]
 
 # one rule for every integral here; the kernel's pieces cancel only as far
-# as the outer and the inner integrals agree
+# as the outer and the inner integrals agree.  The benchmark's tracer reads
+# this name to count kernel evaluations.
 DEFAULT_OUTER_NODES = 64
-# leggauss(n) eigensolves an n x n matrix: 4096 nodes take about 134 MB
-MAX_RULE_NODES = 4096
 # relative accuracy callers need from the covariance quadrature (check 02)
 COV_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class GaussLegendreRule:
-    """Gauss-Legendre nodes and weights mapped onto [0, 1].
+@functools.cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the DEFAULT_OUTER_NODES-node Gauss-Legendre rule on [0, 1].
 
     Nodes are strictly interior and weights are positive and sum to 1, so
     integrands may blow up at the endpoints without ever being evaluated
-    there.  Integrate f over [0, 1] as ``weights @ f(nodes)``.
+    there.  Integrate f over [0, 1] as ``weights @ f(nodes)``.  Built on
+    first use, so importing the module does not load ``numpy.polynomial``;
+    the arrays are read-only, since every caller holds the same ones.
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    @functools.lru_cache(maxsize=16)
-    def make(cls, n: int) -> "GaussLegendreRule":
-        """The n-node rule, built on first use and shared by every later caller.
-
-        Its arrays are read-only, since every caller holds the same ones.
-        """
-        if not 2 <= n <= MAX_RULE_NODES:
-            raise ValueError(f"a Gauss-Legendre rule takes 2..{MAX_RULE_NODES} nodes, got {n}")
-        x, w = np.polynomial.legendre.leggauss(n)
-        nodes, weights = (x + 1.0) / 2.0, w / 2.0
-        nodes.flags.writeable = weights.flags.writeable = False
-        return cls(nodes, weights)
+    x, w = np.polynomial.legendre.leggauss(DEFAULT_OUTER_NODES)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def exp_weight(y, k: int):
@@ -102,28 +88,27 @@ def _exp_weight_at_one(k: int) -> float:
     return math.exp(2.0 * sum(1.0 / m for m in range(1, k)))
 
 
-def rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> np.ndarray:
+def rates_by_quadrature(k: int) -> np.ndarray:
     """Limiting per-hook rates of length-j spacings, j = 1..k-1.
 
     rate_j = 2/exp_weight(1) * integral_0^1 (1-y) y^j exp_weight(y) dy.
     """
     _check_k(k)
-    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    y, w = rule.nodes, rule.weights
+    y, w = _rule()
     base = w * (1.0 - y) * exp_weight(y, k)
     scale = 2.0 / _exp_weight_at_one(k)
     return np.array([scale * float(base @ y**j) for j in range(1, k)])
 
 
-def mean_gf(y, k: int, rule: GaussLegendreRule | None = None) -> np.ndarray:
+def mean_gf(y, k: int) -> np.ndarray:
     """Generating functions of the expected spacing counts at each point of y.
 
     gf[n, i-1] = 2 (1-y)^-2 exp_weight(y)^-1 * integral_0^y t^i (1-t) exp_weight(t) dt
     for i = 1..k-1 and the 1-D points 0 <= y[n] < 1; the coefficient of
     y^(n-k+1) in its series is the expected number of length-i spacings on
-    a row of n hooks.  The rule is mapped onto [0, y] at every point at
-    once; writing t^i = y^i x^i keeps every temporary at points x nodes
-    floats.
+    a row of n hooks.  The module's rule is mapped onto [0, y] at every
+    point at once; writing t^i = y^i x^i keeps every temporary at points x
+    nodes floats.
     """
     _check_k(k)
     y = np.asarray(y, dtype=float)
@@ -132,19 +117,16 @@ def mean_gf(y, k: int, rule: GaussLegendreRule | None = None) -> np.ndarray:
     outside = y[~((0.0 <= y) & (y < 1.0))]
     if outside.size:
         raise ValueError(f"the kernels need 0 <= y < 1, got y={outside[0]}")
-    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    x = rule.nodes
+    x, w = _rule()
     t = y[:, None] * x[None, :]
-    f = (1.0 - t) * exp_weight(t, k) * rule.weights
+    f = (1.0 - t) * exp_weight(t, k) * w
     powers = np.arange(1, k)
     # y^i from t^i = y^i x^i, and one more y for the width of [0, y]
     integral = y[:, None] ** (powers + 1) * (f @ x[:, None] ** powers)
     return 2.0 * integral / ((1.0 - y) ** 2 * exp_weight(y, k))[:, None]
 
 
-def cov_kernel(
-    y, k: int, rates: Sequence[float], rule: GaussLegendreRule | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def cov_kernel(y, k: int, rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Covariance kernel at each point of y and (i, j) pair, and its pieces.
 
     The kernel combines a diagonal piece, a product of mean generating
@@ -153,9 +135,9 @@ def cov_kernel(
     Returns (value, pieces), both exactly symmetric in (i, j): value[n, i-1,
     j-1] is the kernel at y[n], and pieces[:, n, i-1, j-1] holds the
     magnitudes of its diagonal, product and rate-correction pieces.  The
-    points are checked by ``mean_gf``, which integrates with ``rule``.
+    points are checked by ``mean_gf``.
     """
-    gf = mean_gf(y, k, rule)
+    gf = mean_gf(y, k)
     y = np.asarray(y, dtype=float)
     d = k - 1
     w = 1.0 - y
@@ -181,32 +163,31 @@ class CovQuadrature:
     est_abs_error: np.ndarray  # rounding and inherited input error
 
 
-def cov_rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> CovQuadrature:
+def cov_rates_by_quadrature(k: int) -> CovQuadrature:
     """Limiting covariance rates cov_rate_ij by quadrature of the kernel.
 
     cov_rate_ij = 2/exp_weight(1) * integral_0^1 kernel_ij(y) exp_weight(y) dy,
     with the rates in the kernel's rate correction from
-    ``rates_by_quadrature(k, rule)`` and its mean generating functions from
-    ``mean_gf`` on the same rule.
+    ``rates_by_quadrature(k)`` and its mean generating functions from
+    ``mean_gf``, all on the module's one rule.
 
     Returns the matrix with, per entry, an estimate of the absolute error
     carried to the integral.
     At each node that estimate takes eps times the largest piece, plus the
     relative error the product piece inherits from the mean generating
-    function, 2 (nodes + k + 6) eps, and the one the rate correction
-    inherits from the rates, 2 (k + 6) eps.  An entry is flagged when the
-    estimate exceeds ``COV_REL_TOL`` in the unit of its row and column,
-    sqrt(|matrix_ii matrix_jj|), so a near-zero off-diagonal entry is
-    judged against the variances it is a covariance of.
+    function, 2 (DEFAULT_OUTER_NODES + k + 6) eps, and the one the rate
+    correction inherits from the rates, 2 (k + 6) eps.  An entry is flagged
+    when the estimate exceeds ``COV_REL_TOL`` in the unit of its row and
+    column, sqrt(|matrix_ii matrix_jj|), so a near-zero off-diagonal entry
+    is judged against the variances it is a covariance of.
     """
     _check_k(k)
-    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    rates = rates_by_quadrature(k, rule)
-    value, pieces = cov_kernel(rule.nodes, k, rates, rule)
-    weight = 2.0 / _exp_weight_at_one(k) * rule.weights * exp_weight(rule.nodes, k)
+    y, w = _rule()
+    value, pieces = cov_kernel(y, k, rates_by_quadrature(k))
+    weight = 2.0 / _exp_weight_at_one(k) * w * exp_weight(y, k)
     eps = np.finfo(float).eps
     node_err = eps * (
-        pieces.max(axis=0) + 2 * (len(rule.nodes) + k + 6) * pieces[1] + 2 * (k + 6) * pieces[2]
+        pieces.max(axis=0) + 2 * (DEFAULT_OUTER_NODES + k + 6) * pieces[1] + 2 * (k + 6) * pieces[2]
     )
     matrix = np.tensordot(weight, value, axes=1)
     err = np.tensordot(weight, node_err, axes=1)
@@ -214,47 +195,41 @@ def cov_rates_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> Co
     return CovQuadrature(matrix, err > COV_REL_TOL * np.outer(sd, sd), err)
 
 
-def vacancy_rate_by_quadrature(k: int, rule: GaussLegendreRule | None = None) -> float:
+def vacancy_rate_by_quadrature(k: int) -> float:
     """Limiting fraction of hooks left free, relative to n + k.
 
     Equals 1 - k/exp_weight(1) * integral_0^1 exp_weight(y) dy, and also
     sum_j j * rate_j; agreement of the two is a standing identity check.
     """
     _check_k(k)
-    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    integral = float(rule.weights @ exp_weight(rule.nodes, k))
+    y, w = _rule()
+    integral = float(w @ exp_weight(y, k))
     return 1.0 - k * integral / _exp_weight_at_one(k)
 
 
-def cf_residual(
-    psi: Callable[[np.ndarray], np.ndarray],
-    t_grid: Sequence[float],
-    rule: GaussLegendreRule | None = None,
-) -> float:
+def cf_residual(psi: Callable[[np.ndarray], np.ndarray], t_grid: Sequence[float]) -> float:
     """Max gap between psi and its split-average over the given t grid.
 
     The split identity forces any limiting characteristic function to solve
     psi(t) = integral_0^1 psi(sqrt(u) t) psi(sqrt(1-u) t) du; the residual is
-    zero exactly for centered normal characteristic functions.
+    zero exactly for centered normal characteristic functions.  t_grid is
+    a non-empty 1-D sequence of points.
     """
-    rule = rule or GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    u, w = rule.nodes, rule.weights
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or not t.size:
+        raise ValueError(f"t_grid must be a non-empty 1-D sequence of points, got shape {t.shape}")
+    u, w = _rule()
     left = psi(np.sqrt(u)[:, None] * t[None, :])
     right = psi(np.sqrt(1.0 - u)[:, None] * t[None, :])
     averaged = w @ (left * right)
     return float(np.abs(averaged - psi(t)).max())
 
 
-def cf_fixed_point_residual(
-    variance: float,
-    t_grid: Sequence[float],
-    rule: GaussLegendreRule | None = None,
-) -> float:
+def cf_fixed_point_residual(variance: float, t_grid: Sequence[float]) -> float:
     """Split-average residual of the centered normal cf exp(-variance t^2 / 2)."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    return cf_residual(lambda t: np.exp(-0.5 * variance * t * t), t_grid, rule)
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
+    return cf_residual(lambda t: np.exp(-0.5 * variance * t * t), t_grid)
 
 
 @dataclass(frozen=True)
@@ -275,10 +250,9 @@ class AsymptoticConstants:
 
 
 def constants_by_quadrature(k: int) -> AsymptoticConstants:
-    rule = GaussLegendreRule.make(DEFAULT_OUTER_NODES)
-    rates = rates_by_quadrature(k, rule)
-    cov = cov_rates_by_quadrature(k, rule)
-    vac = vacancy_rate_by_quadrature(k, rule)
+    rates = rates_by_quadrature(k)
+    cov = cov_rates_by_quadrature(k)
+    vac = vacancy_rate_by_quadrature(k)
     return AsymptoticConstants(
         k=k,
         rates=rates,

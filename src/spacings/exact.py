@@ -45,6 +45,8 @@ __all__ = [
 
 DEFAULT_SPLIT_CAP = 40
 DEFAULT_DIRECT_CAP = 20
+# the usual rule of thumb for the chi-square approximation to hold per cell
+_MIN_EXPECTED = 5.0
 
 
 class CapExceededError(Exception):
@@ -234,13 +236,11 @@ def total_variation_empirical(pmf: Pmf, counter: Mapping[GapCounts, int]) -> flo
     return 0.5 * sum(abs(counter.get(g, 0) / m - float(pmf.prob(g))) for g in keys)
 
 
-def chi_square_gof(
-    pmf: Pmf, counter: Mapping[GapCounts, int], min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def chi_square_gof(pmf: Pmf, counter: Mapping[GapCounts, int]) -> tuple[float, int, float]:
     """Chi-square goodness of fit of a sample against the exact law.
 
-    Support cells whose expected count falls below ``min_expected`` are
-    pooled into one remainder cell.  Returns (statistic, dof, p-value).
+    Support cells whose expected count falls below ``_MIN_EXPECTED`` (5)
+    are pooled into one remainder cell.  Returns (statistic, dof, p-value).
     Observations outside the exact support are rejected outright.
     """
     m = sum(counter.values())
@@ -254,7 +254,7 @@ def chi_square_gof(
     for g, p in pmf.probs.items():
         expected = float(p) * m
         observed = counter.get(g, 0)
-        if expected < min_expected:
+        if expected < _MIN_EXPECTED:
             pooled_exp += expected
             pooled_obs += observed
         else:
