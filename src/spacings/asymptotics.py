@@ -126,7 +126,7 @@ def mean_gf(y, k: int) -> np.ndarray:
     return 2.0 * integral / ((1.0 - y) ** 2 * exp_weight(y, k))[:, None]
 
 
-def cov_kernel(y, k: int, rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def cov_kernel(y, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Covariance kernel at each point of y and (i, j) pair, and its pieces.
 
     The kernel combines a diagonal piece, a product of mean generating
@@ -135,9 +135,11 @@ def cov_kernel(y, k: int, rates: Sequence[float]) -> tuple[np.ndarray, np.ndarra
     Returns (value, pieces), both exactly symmetric in (i, j): value[n, i-1,
     j-1] is the kernel at y[n], and pieces[:, n, i-1, j-1] holds the
     magnitudes of its diagonal, product and rate-correction pieces.  The
-    points are checked by ``mean_gf``.
+    correction's rates are ``rates_by_quadrature(k)``, built once ``mean_gf``
+    has checked the points and k.
     """
     gf = mean_gf(y, k)
+    r = rates_by_quadrature(k)
     y = np.asarray(y, dtype=float)
     d = k - 1
     w = 1.0 - y
@@ -149,7 +151,6 @@ def cov_kernel(y, k: int, rates: Sequence[float]) -> tuple[np.ndarray, np.ndarra
     # polynomial part of the rate correction, written in w = 1 - y
     lead = 3.0 + (4 * k - 5) * w + 2.0 * (k - 1) ** 2 * w * w - 2.0 * k * k * w**4
     trail = 2.0 + (4 * k - 3) * w + (2 * k - 1) ** 2 * w * w - 4.0 * k * k * w**3
-    r = np.asarray(rates, dtype=float)[:d]
     corr = np.outer(r, r) * ((lead - trail * y**k) / (w * w))[:, None, None]
     return diag + prod - corr, np.abs(np.stack([diag, prod, corr]))
 
@@ -183,7 +184,7 @@ def cov_rates_by_quadrature(k: int) -> CovQuadrature:
     """
     _check_k(k)
     y, w = _rule()
-    value, pieces = cov_kernel(y, k, rates_by_quadrature(k))
+    value, pieces = cov_kernel(y, k)
     weight = 2.0 / _exp_weight_at_one(k) * w * exp_weight(y, k)
     eps = np.finfo(float).eps
     node_err = eps * (

@@ -339,21 +339,19 @@ def _moments_from_cumulants(kap: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return mom
 
 
-def _continued_rates(
-    window: np.ndarray, tk: int, binom: np.ndarray, tol: float
-) -> np.ndarray | None:
+def _continued_rates(window: np.ndarray, tk: int, binom: np.ndarray) -> np.ndarray | None:
     """Rates kappa_m(t)/(t+k) of the moment row ``window[0]``, if they hold.
 
     ``window`` holds rows t, t+1, ... of one table and tk = t + k.  The
     rates times s+k give the later rows s by
     :func:`_moments_from_cumulants`, and a trial fails (None) when any order
-    misses the table by ``tol`` in units of the standardized law,
+    misses the table by ``CONTINUATION_TOL`` in units of the standardized law,
     (kappa_2(t) (s+k)/tk)**(m/2).
     """
     W = window.shape[1]
     mom, rows = window[0], window[1:]
     S = tk + np.arange(1.0, len(window))[:, None]
-    unit = tol * (S * (mom[2] - mom[1] ** 2) / tk) ** (np.arange(W) / 2)
+    unit = CONTINUATION_TOL * (S * (mom[2] - mom[1] ** 2) / tk) ** (np.arange(W) / 2)
     rates = np.zeros(W)
     for p in range(1, W):
         # kappa_p = mom_p - sum_{j<p} C(p-1, j-1) kappa_j mom_{p-j}
@@ -483,7 +481,7 @@ def _split_tables(
             if n % lookback or n - lookback <= k:
                 continue  # rows up to k are deterministic: no rates to read
             window = table[n - lookback : n + 1, W:]
-            rates = _continued_rates(window, n - lookback + k, binom, CONTINUATION_TOL)
+            rates = _continued_rates(window, n - lookback + k, binom)
             if rates is not None:
                 rates[1] += r  # c . X_n = Z_n + r (n+k)
                 return table[: n + 1].copy(), n, rates

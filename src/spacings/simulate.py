@@ -28,7 +28,6 @@ import functools
 import math
 import os
 import threading
-import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -279,32 +278,30 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(job: tuple) -> tuple[float, Any]:
-    """Sample one chunk from its own stream and reduce it: (sampling seconds, result)."""
+def _run_chunk(job: tuple) -> Any:
+    """Sample one chunk from its own stream and reduce it: ``fn(params, counts, hats)``."""
     fn, params, m, seed, index = job
-    start = time.perf_counter()
     counts, hats = _simulate_chunk(params, m, _chunk_rng(seed, index))
-    return time.perf_counter() - start, fn(params, counts, hats)
+    return fn(params, counts, hats)
 
 
 def map_chunks(
     fn: Callable[[ProcessParams, np.ndarray, np.ndarray], Any],
     requests: Sequence[tuple[ProcessParams, int, int]],
-) -> tuple[list[list[Any]], float]:
+) -> list[list[Any]]:
     """``fn(params, counts, hats)`` over every chunk of each (params, replications, seed) request.
 
-    Returns each request's results in chunk order, and the seconds spent
-    sampling, summed over the chunks.  A chunk is sampled where it is
-    reduced, from ``_chunk_rng(seed, index)``, so nothing but the results
-    crosses between processes and no result depends on where it ran.  With
-    more than one CPU and chunk, a platform that can fork and no other
-    thread running, the chunks run on ``min(CPUs, chunks)`` forked worker
-    processes, in a pool that lasts for this call; ``fn`` must then be a
-    module-level function, or a ``functools.partial`` of one, whose result
-    pickles.  Otherwise they run here, one after another.  Forked workers
-    start at once and see the caller's modules as they are, patched
-    functions included; a child of a process with other threads could
-    inherit a lock that one of them held.
+    Returns each request's results in chunk order.  A chunk is sampled
+    where it is reduced, from ``_chunk_rng(seed, index)``, so nothing but
+    the results crosses between processes and no result depends on where
+    it ran.  With more than one CPU and chunk, a platform that can fork
+    and no other thread running, the chunks run on ``min(CPUs, chunks)``
+    forked worker processes, in a pool that lasts for this call; ``fn``
+    must then be a module-level function, or a ``functools.partial`` of
+    one, whose result pickles.  Otherwise they run here, one after
+    another.  Forked workers start at once and see the caller's modules as
+    they are, patched functions included; a child of a process with other
+    threads could inherit a lock that one of them held.
     """
     jobs, owners = [], []
     for owner, (params, replications, seed) in enumerate(requests):
@@ -322,9 +319,9 @@ def map_chunks(
     else:
         done = [_run_chunk(job) for job in jobs]
     results: list[list[Any]] = [[] for _ in requests]
-    for owner, (_, result) in zip(owners, done):
+    for owner, result in zip(owners, done):
         results[owner].append(result)
-    return results, sum(seconds for seconds, _ in done)
+    return results
 
 
 def _chunk_counter(
@@ -337,7 +334,7 @@ def state_counters(
     requests: Sequence[tuple[ProcessParams, int, int]],
 ) -> list[dict[GapCounts, int]]:
     """``state_counter`` of each (params, replications, seed) request, all chunks in one map."""
-    per_request, _ = map_chunks(_chunk_counter, requests)
+    per_request = map_chunks(_chunk_counter, requests)
     merged = []
     for parts in per_request:
         acc: Counter[GapCounts] = Counter()
@@ -437,7 +434,7 @@ def simulate_batch(config: SimConfig) -> SampleStats:
     c = config.projection_vector()
     order = config.moment_order
     shift = float(np.round(_mean_column(c.tolist(), n, deque(maxlen=k))[-1]))
-    (parts,), _ = map_chunks(
+    (parts,) = map_chunks(
         functools.partial(_chunk_sums, c, shift, order),
         [(params, config.replications, config.seed)],
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from . import exact, moments, simulate
-from .model import GapCounts, ProcessParams, validate_counts
+from .model import ProcessParams, validate_counts
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS", "closed_form_mean_gf_k2", "closed_form_cov_kernel_k2"]
 
@@ -187,10 +187,9 @@ def check_averaging_recursion() -> CheckResult:
 
 def check_closed_forms_k2() -> CheckResult:
     def body() -> tuple[bool, str]:
-        rates = asy.rates_by_quadrature(2)
         zs = np.linspace(0.025, 0.975, 20)
         g_quad = asy.mean_gf(zs, 2)[:, 0]
-        h_quad = asy.cov_kernel(zs, 2, rates)[0][:, 0, 0]
+        h_quad = asy.cov_kernel(zs, 2)[0][:, 0, 0]
         worst_g = worst_h = 0.0
         for z, g, h in zip(zs.tolist(), g_quad.tolist(), h_quad.tolist()):
             worst_g = max(worst_g, abs(g - closed_form_mean_gf_k2(z)))
@@ -248,25 +247,6 @@ def check_drift_bound_tail() -> CheckResult:
     return _timed("11 split-identity drift stays bounded (k=2,3, n<=1000)", 30.0, body)
 
 
-def _validate_chunk(
-    params: ProcessParams, counts: np.ndarray, hats: np.ndarray
-) -> tuple[int | str, float]:
-    """Check 12 on one chunk: (rows validated or the first failure, scalar seconds).
-
-    The sampler has already run the batch validator on these rows.  This
-    independent pass runs the pure ``validate_counts`` once per distinct
-    state and sums their frequencies; only a failure makes it scan the rows.
-    """
-    start = time.perf_counter()
-    counter = exact.empirical_counter(counts, hats)
-    failed = {g for g in counter if not validate_counts(params, g)}
-    if failed:
-        for row, h in zip(counts.tolist(), hats.tolist()):
-            if GapCounts(tuple(row), h) in failed:
-                return f"state {row}, hats={h} invalid for {params}", time.perf_counter() - start
-    return sum(counter.values()), time.perf_counter() - start
-
-
 def check_conservation_at_scale(total: int = 10_000_000) -> CheckResult:
     stages: dict[str, float] = {}
 
@@ -277,18 +257,20 @@ def check_conservation_at_scale(total: int = 10_000_000) -> CheckResult:
             (ProcessParams(12, 4), total - total * 4 // 10 - total * 3 // 10, VERIFY_SEED + 1),
         ]
         start = time.perf_counter()
-        per_request, sample_s = simulate.map_chunks(_validate_chunk, plan)
-        wall = time.perf_counter() - start
-        outcomes = [o for chunks in per_request for o in chunks]
-        seconds = {"sample_s": sample_s, "scalar_s": sum(o[1] for o in outcomes)}
-        # the chunks may have run side by side: split the map's wall time
-        # across the stages in proportion to the seconds each one took
-        busy = sum(seconds.values())
-        stages.update({name: wall * s / busy if busy else 0.0 for name, s in seconds.items()})
-        failures = [rows for rows, _ in outcomes if isinstance(rows, str)]
+        counters = simulate.state_counters(plan)
+        stages["sample_s"] = time.perf_counter() - start
+        # the sampler has already run the batch validator on every row; this
+        # independent pass runs the pure validate_counts once per distinct state
+        failures = [
+            f"state {list(g.counts)}, hats={g.hats} invalid for {params}"
+            for (params, _, _), counter in zip(plan, counters)
+            for g in counter
+            if not validate_counts(params, g)
+        ]
+        checked = sum(sum(counter.values()) for counter in counters)
+        stages["scalar_s"] = time.perf_counter() - start - stages["sample_s"]
         if failures:
             return False, failures[0]
-        checked = sum(rows for rows, _ in outcomes)
         return checked == total, f"{checked:,} states validated"
 
     return _timed("12 every simulated state passes validation", None, body, stages)

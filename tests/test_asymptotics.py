@@ -54,7 +54,7 @@ def test_quadrature_entry_points_bound_k():
         lambda: asy.cov_rates_by_quadrature(k),
         lambda: asy.vacancy_rate_by_quadrature(k),
         lambda: asy.mean_gf([0.5], k),
-        lambda: asy.cov_kernel([0.5], k, [0.1] * (k - 1)),
+        lambda: asy.cov_kernel([0.5], k),
         lambda: asy.constants_by_quadrature(k),
         lambda: asy.constants_by_extrapolation(k),
     ]
@@ -95,7 +95,7 @@ def test_mean_gf_domain():
         with pytest.raises(ValueError, match="1-D array"):
             mean_gf(y, 3)
         with pytest.raises(ValueError, match="1-D array"):
-            cov_kernel(y, 3, [0.1, 0.1])
+            cov_kernel(y, 3)
 
 
 def test_mean_gf_closed_form_k2():
@@ -105,8 +105,7 @@ def test_mean_gf_closed_form_k2():
 
 
 def test_cov_kernel_symmetric_in_indices():
-    rates = rates_by_quadrature(3)
-    value, _ = cov_kernel([0.1, 0.4, 0.7, 0.95], 3, rates)
+    value, _ = cov_kernel([0.1, 0.4, 0.7, 0.95], 3)
     assert value[:, 0, 1] == pytest.approx(value[:, 1, 0], rel=1e-14, abs=1e-14)
 
 
@@ -116,7 +115,7 @@ def test_cov_kernel_matches_scalar_reference(k):
     # differ only in rounding, which the largest piece bounds
     rates = rates_by_quadrature(k)
     ys = [0.05, 0.3, 0.7, 0.95, 0.999]
-    value, pieces = cov_kernel(ys, k, rates)
+    value, pieces = cov_kernel(ys, k)
     max_term = pieces.max(axis=0)
     for n, y in enumerate(ys):
         for i in range(1, k):
@@ -162,10 +161,9 @@ def test_cov_error_estimate_covers_closed_form_k2(nodes):
 def test_cov_kernel_is_the_quadrature_integrand():
     k = 3
     nodes, weights = _rule()
-    rates = rates_by_quadrature(k)
     res = cov_rates_by_quadrature(k)
     weight = 2.0 / exp_weight(1.0, k) * weights * exp_weight(nodes, k)
-    kernel, _ = cov_kernel(nodes, k, rates)
+    kernel, _ = cov_kernel(nodes, k)
     for i in (1, 2):
         for j in (1, 2):
             got = weight @ kernel[:, i - 1, j - 1]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -57,6 +58,17 @@ def test_benchmark_finds_every_name_it_reads(monkeypatch):
         tracer.uninstall()
     for name, module, attr, fn in annotated:
         assert getattr(module, attr) is fn, f"{name} is not restored"
+
+
+def test_benchmark_sizes_the_sampling_checks_it_finds_by_name():
+    # the benchmark's gate looks these two checks up by ``fn.__name__`` to
+    # pass each its row count; under any other name, check 12 would run at
+    # its full 1e7 rows in every round
+    by_name = {fn.__name__: fn for fn in verify.ALL_CHECKS}
+    for name in ("check_simulator_against_exact", "check_conservation_at_scale"):
+        assert name in by_name, name
+        (size,) = inspect.signature(by_name[name]).parameters.values()
+        assert size.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

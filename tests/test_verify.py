@@ -1,17 +1,17 @@
 """Verification checks 04 and 12: the same verdicts at any worker count, and check 12 can fail.
 
-Check 12 validates each distinct state of a chunk once and counts every row.
+Check 12 validates each distinct state of a request once, in the parent,
+and counts every row.
 
 Also: a check that overruns its budget fails, and check 11's
 measured string is pinned.
 """
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from spacings import exact, simulate, verify
-from spacings.model import ProcessParams, validate_counts
+from spacings import simulate, verify
+from spacings.model import GapCounts, ProcessParams, validate_counts
 
 
 @pytest.mark.parametrize(
@@ -27,6 +27,15 @@ def test_sampling_checks_do_not_depend_on_the_worker_count(check, size, monkeypa
     assert len({r.measured for r in results}) == 1
     for r in results:
         assert sum(r.stages.values()) <= r.elapsed_s
+
+
+def _check_12_plan(total):
+    """The requests check 12 samples for ``total`` rows."""
+    return [
+        (ProcessParams(10, 2), total * 4 // 10, verify.VERIFY_SEED + 1),
+        (ProcessParams(10, 3), total * 3 // 10, verify.VERIFY_SEED + 1),
+        (ProcessParams(12, 4), total - total * 4 // 10 - total * 3 // 10, verify.VERIFY_SEED + 1),
+    ]
 
 
 def _first_failure(plan, reject) -> str:
@@ -49,12 +58,7 @@ def test_check_12_reports_the_first_invalid_row_in_chunk_order(monkeypatch):
         return not reject(params, state.hats) and validate_counts(params, state)
 
     total = 200_000
-    plan = [
-        (ProcessParams(10, 2), total * 4 // 10, verify.VERIFY_SEED + 1),
-        (ProcessParams(10, 3), total * 3 // 10, verify.VERIFY_SEED + 1),
-        (ProcessParams(12, 4), total * 3 // 10, verify.VERIFY_SEED + 1),
-    ]
-    want = _first_failure(plan, reject)
+    want = _first_failure(_check_12_plan(total), reject)
     monkeypatch.setattr(verify, "validate_counts", validator)
     for cpus in (2, 1):  # the worker pool, then in-process
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
@@ -63,37 +67,42 @@ def test_check_12_reports_the_first_invalid_row_in_chunk_order(monkeypatch):
         assert result.measured == want
 
 
-# a hand-built (10, 3) chunk: three valid states, one of them three times
-_CHUNK = (
-    np.array([[1, 0], [0, 2], [1, 0], [2, 1], [0, 2], [1, 0]]),
-    np.array([3, 2, 3, 2, 2, 3]),
-)
-
-
-def test_validate_chunk_validates_each_distinct_state_once(monkeypatch):
+def test_check_12_validates_each_distinct_state_once(monkeypatch):
     seen = []
 
     def validator(params, state):
-        seen.append(state)
+        seen.append((params, state))
         return validate_counts(params, state)
 
     monkeypatch.setattr(verify, "validate_counts", validator)
-    counts, hats = _CHUNK
-    rows, _ = verify._validate_chunk(ProcessParams(10, 3), counts, hats)
-    assert rows == counts.shape[0]
-    assert sorted(seen) == sorted({(tuple(r), h) for r, h in zip(counts.tolist(), hats.tolist())})
+    total = 200_000
+    result = verify.check_conservation_at_scale(total)
+    assert result.passed
+    assert result.measured == f"{total:,} states validated"
+    distinct = sum(len(counter) for counter in simulate.state_counters(_check_12_plan(total)))
+    assert len(seen) == len(set(seen)) == distinct
 
 
-def test_validate_chunk_reports_a_lone_invalid_state_in_the_last_row():
-    counts = np.vstack([_CHUNK[0], [[0, 0]]])
-    hats = np.append(_CHUNK[1], 3)  # 3 * 3 hooks of 10: not conserved
-    rows, _ = verify._validate_chunk(ProcessParams(10, 3), counts, hats)
-    assert rows == "state [0, 0], hats=3 invalid for ProcessParams(n=10, k=3)"
+def test_check_12_reports_a_non_conserving_state_in_one_chunk(monkeypatch):
+    collapse = simulate.empirical_counter
+
+    def injecting(counts, hats):
+        counter = collapse(counts, hats)
+        if counts.shape[1] == 2:  # k = 3: at 60,000 rows, one chunk
+            counter[GapCounts((0, 0), 3)] = 1  # 3 * 3 hooks of 10: not conserved
+        return counter
+
+    monkeypatch.setattr(simulate, "empirical_counter", injecting)
+    for cpus in (2, 1):  # the worker pool, then in-process
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        result = verify.check_conservation_at_scale(200_000)
+        assert not result.passed
+        assert result.measured == "state [0, 0], hats=3 invalid for ProcessParams(n=10, k=3)"
 
 
 @pytest.mark.parametrize("lost", [1, -1])  # a row dropped, a row counted twice
 def test_check_12_fails_when_the_collapse_miscounts_a_row(lost, monkeypatch):
-    collapse = exact.empirical_counter
+    collapse = simulate.empirical_counter
     chunks = []
 
     def miscounting(counts, hats):
@@ -102,7 +111,7 @@ def test_check_12_fails_when_the_collapse_miscounts_a_row(lost, monkeypatch):
         counter[next(iter(counter))] -= lost
         return counter
 
-    monkeypatch.setattr(exact, "empirical_counter", miscounting)
+    monkeypatch.setattr(simulate, "empirical_counter", miscounting)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)  # in-process, so the calls are seen
     total = 200_000
     result = verify.check_conservation_at_scale(total)
