@@ -198,6 +198,8 @@ def moments_from_pmf(
     projection: Sequence[Fraction | int] | None = None,
 ) -> ExactMoments:
     """Mean vector, raw second moments, and raw projected moments up to ``order``."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     k = pmf.params.k
     if projection is None:
         proj = tuple(Fraction(1) for _ in range(k - 1))

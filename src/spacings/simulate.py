@@ -45,9 +45,6 @@ __all__ = [
     "sample_gap",
     "simulate_once",
     "simulate_batch",
-    "iter_state_chunks",
-    "sample_states",
-    "state_counter",
     "state_counters",
     "map_chunks",
     "chunk_size",
@@ -252,25 +249,6 @@ def _simulate_chunk(
     return counts, hats
 
 
-def iter_state_chunks(
-    params: ProcessParams, replications: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (counts, hats) arrays chunk by chunk, deterministically."""
-    for index, m in enumerate(_chunk_sizes(params, replications, seed)):
-        yield _simulate_chunk(params, m, _chunk_rng(seed, index))
-
-
-def sample_states(
-    params: ProcessParams, replications: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All terminal states as arrays (counts: (m, k-1), hats: (m,))."""
-    parts = list(iter_state_chunks(params, replications, seed))
-    return (
-        np.concatenate([c for c, _ in parts], axis=0),
-        np.concatenate([h for _, h in parts]),
-    )
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on (its affinity set, where the platform has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -279,17 +257,16 @@ def _cpu_count() -> int:
 
 
 def _run_chunk(job: tuple) -> Any:
-    """Sample one chunk from its own stream and reduce it: ``fn(params, counts, hats)``."""
+    """Sample one chunk from its own stream and reduce it: ``fn(counts, hats)``."""
     fn, params, m, seed, index = job
-    counts, hats = _simulate_chunk(params, m, _chunk_rng(seed, index))
-    return fn(params, counts, hats)
+    return fn(*_simulate_chunk(params, m, _chunk_rng(seed, index)))
 
 
 def map_chunks(
-    fn: Callable[[ProcessParams, np.ndarray, np.ndarray], Any],
+    fn: Callable[[np.ndarray, np.ndarray], Any],
     requests: Sequence[tuple[ProcessParams, int, int]],
 ) -> list[list[Any]]:
-    """``fn(params, counts, hats)`` over every chunk of each (params, replications, seed) request.
+    """``fn(counts, hats)`` over every chunk of each (params, replications, seed) request.
 
     Returns each request's results in chunk order.  A chunk is sampled
     where it is reduced, from ``_chunk_rng(seed, index)``, so nothing but
@@ -324,17 +301,11 @@ def map_chunks(
     return results
 
 
-def _chunk_counter(
-    params: ProcessParams, counts: np.ndarray, hats: np.ndarray
-) -> dict[GapCounts, int]:
-    return empirical_counter(counts, hats)
-
-
 def state_counters(
     requests: Sequence[tuple[ProcessParams, int, int]],
 ) -> list[dict[GapCounts, int]]:
-    """``state_counter`` of each (params, replications, seed) request, all chunks in one map."""
-    per_request = map_chunks(_chunk_counter, requests)
+    """Each (params, replications, seed) request's ``empirical_counter``, all chunks in one map."""
+    per_request = map_chunks(empirical_counter, requests)
     merged = []
     for parts in per_request:
         acc: Counter[GapCounts] = Counter()
@@ -344,17 +315,9 @@ def state_counters(
     return merged
 
 
-def state_counter(
-    params: ProcessParams, replications: int, seed: int
-) -> dict[GapCounts, int]:
-    """Empirical distribution of terminal states over many replications."""
-    return state_counters([(params, replications, seed)])[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # simulate_batch checks the sums
 def _chunk_sums(
-    c: np.ndarray, shift: float, order: int,
-    params: ProcessParams, counts: np.ndarray, hats: np.ndarray,
+    c: np.ndarray, shift: float, order: int, counts: np.ndarray, hats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk's order-independent partial sums.
 

@@ -4,11 +4,13 @@ Everything here works on explicit occupancy tuples with Fraction arithmetic
 and shares no code with the library: terminal states are found by recursing
 over every feasible placement, not by any splitting shortcut.  Slow on
 purpose; keep n at or below about 14.  The helpers after ``mean_vacancy``
-are independent float and bookkeeping cross-checks of library code paths.
+are independent float, decimal and bookkeeping cross-checks of library
+code paths.
 """
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -103,6 +105,33 @@ def mean_vacancy(n: int, k: int) -> Fraction:
     for (counts, _), p in law(n, k).items():
         out += p * sum((i + 1) * c for i, c in enumerate(counts))
     return out
+
+
+def series_constants(k: int, digits: int = 40) -> tuple[list[Decimal], Decimal]:
+    """Limiting rates and vacancy of k from the power series of the weight, in ``decimal``.
+
+    exp(2 * (y + y^2/2 + ... + y^(k-1)/(k-1))) = sum_n a_n y^n with a_0 = 1
+    and (n+1) a_(n+1) = 2 * (a_n + ... + a_(n+2-k)), so each integral on
+    [0, 1] becomes a sum over n: rate_j = 2 sum_n a_n/((n+j+1)(n+j+2)) / sum_n a_n
+    and vacancy = 1 - k sum_n a_n/(n+1) / sum_n a_n.  Once n + 1 >= 4(k-1),
+    the largest of the last k-1 coefficients at least halves every k-1
+    steps, so all later terms sum to less than 2(k-1) times the last k-1;
+    the sums stop once those hold less than 10**-digits of the total.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        a = [Decimal(1)]
+        window = total = a[0]  # the last k-1 coefficients' sum, and all of them
+        while len(a) < 4 * k or window >= Decimal(10) ** -digits * total:
+            a.append(2 * window / len(a))
+            total += a[-1]
+            window = sum(a[1 - k :])
+        rates = [
+            2 * sum(an / ((n + j + 1) * (n + j + 2)) for n, an in enumerate(a)) / total
+            for j in range(1, k)
+        ]
+        vacancy = 1 - k * sum(an / (n + 1) for n, an in enumerate(a)) / total
+    return rates, vacancy
 
 
 def mean_recursion_numpy_step(k: int, n_max: int) -> np.ndarray:

@@ -211,6 +211,19 @@ def test_extrapolation_meets_quadrature_within_its_error(k):
     assert not q.diagnostics["cancellation_flagged"]
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 64])
+def test_rates_and_vacancy_meet_the_weights_power_series(k):
+    # the series oracle sums to 40 digits; measured gaps: extrapolation up to
+    # 1.1e-16 absolute, quadrature rates 1.0e-14 relative, vacancy 2.5e-14
+    rates, vacancy = oracles.series_constants(k)
+    want, want_vacancy = np.array([float(r) for r in rates]), float(vacancy)
+    e = constants_by_extrapolation(k)
+    assert np.abs(e.rates - want).max() <= 2.5e-16
+    assert abs(e.vacancy_rate - want_vacancy) <= 2.5e-16
+    assert np.all(np.abs(rates_by_quadrature(k) - want) <= 5e-14 * want)
+    assert abs(vacancy_rate_by_quadrature(k) - want_vacancy) <= 1e-13
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_rational_twin_cov_rates_meet_both_routes(k):
     # the rational twins' covariance rates at n = 100, rounded once; they

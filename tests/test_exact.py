@@ -131,6 +131,14 @@ def test_projected_moments_match_enumerator():
     assert m2.projected_raw[4] == Fraction(1136, 105)
 
 
+def test_projected_moments_reject_a_negative_order():
+    pmf = pmf_split(ProcessParams(4, 2))
+    assert moments_from_pmf(pmf, order=0).projected_raw == (Fraction(1),)
+    for order in (-1, -5):
+        with pytest.raises(ValueError, match=f"order must be >= 0, got {order}"):
+            moments_from_pmf(pmf, order=order)
+
+
 def test_total_variation_zero_on_itself():
     pmf = pmf_split(ProcessParams(10, 3))
     assert pmf.total_variation(pmf) == 0

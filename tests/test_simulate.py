@@ -42,14 +42,23 @@ from spacings.simulate import (
     _offsets,
     _simulate_chunk,
     chunk_size,
-    iter_state_chunks,
     map_chunks,
     sample_gap,
-    sample_states,
     simulate_batch,
     simulate_once,
-    state_counter,
+    state_counters,
 )
+
+
+def _states(counts, hats):
+    """A reducer that keeps its chunk's terminal states."""
+    return counts, hats
+
+
+def _chunks_one_by_one(params, replications, seed):
+    """A request's (counts, hats) chunks, sampled here in chunk order from their own streams."""
+    return [_simulate_chunk(params, m, _chunk_rng(seed, index))
+            for index, m in enumerate(_chunk_sizes(params, replications, seed))]
 
 
 class ScriptedRNG:
@@ -138,7 +147,7 @@ def test_scalar_engine_matches_exact_law():
 def test_vector_engine_matches_exact_law(n, k):
     params = ProcessParams(n, k)
     pmf = pmf_split(params)
-    counter = state_counter(params, 200_000, seed=7)
+    counter = state_counters([(params, 200_000, 7)])[0]
     assert sum(counter.values()) == 200_000
     assert total_variation_empirical(pmf, counter) < 0.005
     _, _, p = chi_square_gof(pmf, counter)
@@ -245,8 +254,8 @@ def test_oversized_rows_are_rejected_before_any_work(monkeypatch):
     for params in (ProcessParams(2**32 + 1, 2), ProcessParams(2**32 + 6, 7)):
         for request in (
             lambda: SimConfig(params, 1, seed=0),
-            lambda: next(iter_state_chunks(params, 1, 0)),
-            lambda: state_counter(params, 1, 0),
+            lambda: map_chunks(_states, [(params, 1, 0)]),
+            lambda: state_counters([(params, 1, 0)]),
         ):
             with pytest.raises(ValueError, match=message):
                 request()
@@ -255,7 +264,8 @@ def test_oversized_rows_are_rejected_before_any_work(monkeypatch):
 @pytest.mark.parametrize("n, k, replications", [(400, 2, 80_000), (2000, 5, 16_000)])
 def test_vector_engine_moments_match_the_recursions_at_large_n(n, k, replications):
     """Mean and covariance within 5 standard errors, at start counts far above the exact laws' n."""
-    counts, _ = sample_states(ProcessParams(n, k), replications, seed=13)
+    (parts,) = map_chunks(_states, [(ProcessParams(n, k), replications, 13)])
+    counts = np.concatenate([c for c, _ in parts])
     x = counts.astype(float)
     mean = x.mean(axis=0)
     z = x - mean
@@ -269,7 +279,9 @@ def test_vector_engine_moments_match_the_recursions_at_large_n(n, k, replication
 def test_sample_states_validate_and_partial_chunks():
     params = ProcessParams(9, 3)
     reps = chunk_size(9, 3) + 137  # forces a short final chunk
-    counts, hats = sample_states(params, reps, seed=3)
+    (parts,) = map_chunks(_states, [(params, reps, 3)])
+    assert parts[-1][0].shape[0] == 137  # the short final chunk
+    counts, hats = (np.concatenate(a) for a in zip(*parts))
     assert counts.shape == (reps, 2) and hats.shape == (reps,)
     total = params.k * hats + counts @ np.array([1, 2])
     assert (total == params.n).all()
@@ -410,7 +422,7 @@ def test_blocked_power_sums_are_bit_identical_to_one_sum(order):
     c = np.array([1.0, -2.0, 0.5])
     y = counts @ c - 4.0
     want = (y[:, None] ** np.arange(2 * order + 1)).sum(axis=0)
-    assert _chunk_sums(c, 4.0, order, None, counts, None)[2].tobytes() == want.tobytes()
+    assert _chunk_sums(c, 4.0, order, counts, None)[2].tobytes() == want.tobytes()
 
 
 # (n, k, projection, replications) of one chunk each
@@ -428,7 +440,7 @@ THREE_CHUNKS = (12, 4, (1.0, 0.5, 2.0), 2 * chunk_size(12, 4) + 137)
 def _batch_and_reference(n, k, projection, replications, order):
     cfg = SimConfig(ProcessParams(n, k), replications, seed=7, projection=projection,
                     moment_order=order)
-    chunks = [counts for counts, _ in iter_state_chunks(cfg.params, replications, cfg.seed)]
+    chunks = [counts for counts, _ in _chunks_one_by_one(cfg.params, replications, cfg.seed)]
     return cfg, oracles.batch_stats_per_chunk_comb(cfg, chunks)
 
 
@@ -481,7 +493,7 @@ def test_batch_reduction_agrees_with_per_chunk_comb_at_high_order(
     )
 
 
-def _where(params, counts, hats):
+def _where(counts, hats):
     """A reducer that says where its chunk ran and fingerprints the chunk's stream."""
     return os.getpid(), counts.shape[0], int(hats @ np.arange(hats.size))
 
@@ -501,7 +513,7 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
     results = map_chunks(_where, requests)
     assert [[chunk[1:] for chunk in part] for part in results] == [
         [(counts.shape[0], int(hats @ np.arange(hats.size)))
-         for counts, hats in iter_state_chunks(*request)]
+         for counts, hats in _chunks_one_by_one(*request)]
         for request in requests
     ]
     pids = {chunk[0] for part in results for chunk in part}
@@ -515,8 +527,8 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
         map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
     for bad_seed in (
         lambda: map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 10, -1)]),
-        lambda: sample_states(ProcessParams(10, 2), 5, -1),
-        lambda: next(iter_state_chunks(ProcessParams(10, 2), 5, -1)),
+        lambda: state_counters([(ProcessParams(10, 2), 5, -1)]),
+        lambda: SimConfig(ProcessParams(10, 2), 5, -1),
     ):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             bad_seed()
@@ -581,11 +593,11 @@ def test_state_counter_is_the_serial_counter_at_any_worker_count(n, k, monkeypat
     params = ProcessParams(n, k)
     replications = 2 * chunk_size(n, k) + 137
     serial: Counter[GapCounts] = Counter()
-    for counts, hats in iter_state_chunks(params, replications, 11):
+    for counts, hats in _chunks_one_by_one(params, replications, 11):
         serial.update(GapCounts(tuple(r), h) for r, h in zip(counts.tolist(), hats.tolist()))
     for cpus in (1, 2):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-        assert state_counter(params, replications, 11) == dict(serial)
+        assert state_counters([(params, replications, 11)])[0] == dict(serial)
 
 
 def test_importing_the_cli_leaves_the_process_pool_unimported():

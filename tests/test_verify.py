@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from spacings import simulate, verify
+from spacings import exact, simulate, verify
 from spacings.model import GapCounts, ProcessParams, validate_counts
 
 
@@ -38,10 +38,15 @@ def _check_12_plan(total):
     ]
 
 
+def _states(counts, hats):
+    """A reducer that keeps its chunk's terminal states."""
+    return counts, hats
+
+
 def _first_failure(plan, reject) -> str:
     """Check 12's failure message, found by walking the chunks one after another."""
     for params, m, seed in plan:
-        for counts, hats in simulate.iter_state_chunks(params, m, seed):
+        for counts, hats in simulate.map_chunks(_states, [(params, m, seed)])[0]:
             for row, h in zip(counts.tolist(), hats.tolist()):
                 if reject(params, h):
                     return f"state {row}, hats={h} invalid for {params}"
@@ -83,16 +88,17 @@ def test_check_12_validates_each_distinct_state_once(monkeypatch):
     assert len(seen) == len(set(seen)) == distinct
 
 
+def _injecting(counts, hats):
+    """``empirical_counter`` plus one non-conserving state in the chunk of k = 3."""
+    counter = exact.empirical_counter(counts, hats)
+    if counts.shape[1] == 2:  # k = 3: at 60,000 rows, one chunk
+        counter[GapCounts((0, 0), 3)] = 1  # 3 * 3 hooks of 10: not conserved
+    return counter
+
+
 def test_check_12_reports_a_non_conserving_state_in_one_chunk(monkeypatch):
-    collapse = simulate.empirical_counter
-
-    def injecting(counts, hats):
-        counter = collapse(counts, hats)
-        if counts.shape[1] == 2:  # k = 3: at 60,000 rows, one chunk
-            counter[GapCounts((0, 0), 3)] = 1  # 3 * 3 hooks of 10: not conserved
-        return counter
-
-    monkeypatch.setattr(simulate, "empirical_counter", injecting)
+    # the reducer crosses to the workers by name, so it lives at module level
+    monkeypatch.setattr(simulate, "empirical_counter", _injecting)
     for cpus in (2, 1):  # the worker pool, then in-process
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         result = verify.check_conservation_at_scale(200_000)
