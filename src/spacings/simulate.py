@@ -17,13 +17,17 @@ a given (params, replications, seed) triple yields bit-identical output on
 a given numpy version, independent of the worker count; partial results merge
 by summation in chunk order.  Because a chunk is sampled from its own stream
 wherever it runs, ``map_chunks`` may hand chunks to forked worker
-processes without changing a single draw.  The vector engine decodes its
+processes without changing a single draw.  Those workers are forked once,
+on the process's first map of more than one chunk, and serve its later
+maps; they see the modules as they were at the fork, and each reducer
+reaches them by name.  The vector engine decodes its
 offsets from the stream's raw 64-bit words (``_offsets``), so a run's start
 count n-k+1 must lie below 2**32.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import os
@@ -262,6 +266,62 @@ def _run_chunk(job: tuple) -> Any:
     return fn(*_simulate_chunk(params, m, _chunk_rng(seed, index)))
 
 
+# The forked worker pool this process keeps for its maps:
+# (executor, workers, CPU count, owner pid), or None before the first one.
+_pool: tuple[Any, int, int, int] | None = None
+
+
+def _shut_down_pool() -> None:
+    """Drop the pool; if this process owns it, first stop its workers and join its threads.
+
+    Run at interpreter exit too, while the modules the executor's own
+    clean-up needs are still loaded.
+    """
+    global _pool
+    if _pool is not None and _pool[3] == os.getpid():
+        _pool[0].shutdown()
+    _pool = None
+
+
+atexit.register(_shut_down_pool)
+
+
+def _worker_pool(jobs: int) -> Any:
+    """The executor to run ``jobs`` chunks on, or None to run them in this process.
+
+    The pool is forked on the first map with more than one CPU and chunk,
+    on a platform that can fork and with no other thread running, with
+    ``min(CPUs, chunks)`` workers.  Later maps reuse it, other threads or
+    not, since no fork happens.  It is shut down and forked anew only when
+    a map needs more workers than it has or the CPU count has changed, and
+    then only once no other thread runs; until then the maps run here.  A
+    process forked from the owner, a worker included, runs its maps here
+    and leaves its copy of the pool alone: that copy's locks may have been
+    held at the fork.
+    """
+    global _pool
+    cpus = _cpu_count()
+    workers = min(cpus, jobs)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return None
+    if _pool is not None:
+        executor, size, pool_cpus, owner = _pool
+        if owner != os.getpid():
+            return None
+        if size >= workers and pool_cpus == cpus:
+            return executor
+        _shut_down_pool()
+    if threading.active_count() > 1:
+        return None
+    # imported here, so that importing the package leaves multiprocessing out
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    _pool = (executor, workers, cpus, os.getpid())
+    return executor
+
+
 def map_chunks(
     fn: Callable[[np.ndarray, np.ndarray], Any],
     requests: Sequence[tuple[ProcessParams, int, int]],
@@ -271,30 +331,33 @@ def map_chunks(
     Returns each request's results in chunk order.  A chunk is sampled
     where it is reduced, from ``_chunk_rng(seed, index)``, so nothing but
     the results crosses between processes and no result depends on where
-    it ran.  With more than one CPU and chunk, a platform that can fork
-    and no other thread running, the chunks run on ``min(CPUs, chunks)``
-    forked worker processes, in a pool that lasts for this call; ``fn``
-    must then be a module-level function, or a ``functools.partial`` of
-    one, whose result pickles.  Otherwise they run here, one after
-    another.  Forked workers start at once and see the caller's modules as
-    they are, patched functions included; a child of a process with other
-    threads could inherit a lock that one of them held.
+    it ran.  With more than one CPU and chunk and a platform that can fork,
+    the chunks run on the process's pool of forked workers (``_worker_pool``
+    says when it is forked and when the chunks run here instead, one after
+    another).  The pool lasts for the process: its first multi-chunk map
+    pays the fork, later maps do not.  ``fn`` then travels by name, so it
+    must be a module-level function, or a ``functools.partial`` of one,
+    whose result pickles; the workers look it up in the modules as they
+    were at the fork, so a function patched after the fork runs unpatched
+    there.  A pool that breaks, a worker killed for instance, is dropped:
+    that map raises ``BrokenProcessPool`` and the next one forks afresh.
     """
     jobs, owners = [], []
     for owner, (params, replications, seed) in enumerate(requests):
         for index, m in enumerate(_chunk_sizes(params, replications, seed)):
             jobs.append((fn, params, m, seed, index))
             owners.append(owner)
-    workers = min(_cpu_count(), len(jobs))
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        # imported here, so that importing the package leaves multiprocessing out
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            done = list(pool.map(_run_chunk, jobs))
-    else:
+    pool = _worker_pool(len(jobs))
+    if pool is None:
         done = [_run_chunk(job) for job in jobs]
+    else:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            done = list(pool.map(_run_chunk, jobs))
+        except BrokenProcessPool:
+            _shut_down_pool()
+            raise
     results: list[list[Any]] = [[] for _ in requests]
     for owner, result in zip(owners, done):
         results[owner].append(result)

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -498,31 +502,57 @@ def _where(counts, hats):
     return os.getpid(), counts.shape[0], int(hats @ np.arange(hats.size))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, monkeypatch):
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools ``map_chunks`` forks, starting with none forked."""
+    simulate._shut_down_pool()
+    forked = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
+            forked.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return forked
+
+
+def _pids(results):
+    return {chunk[0] for part in results for chunk in part}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+_fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+_FOUR_CHUNKS = [(ProcessParams(10, 2), 4 * chunk_size(10, 2), 1)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, pools, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
     requests = [(ProcessParams(10, 2), chunk_size(10, 2) + 5, 1), (ProcessParams(400, 3), 7, 2)]
-    results = map_chunks(_where, requests)
-    assert [[chunk[1:] for chunk in part] for part in results] == [
+    want = [
         [(counts.shape[0], int(hats @ np.arange(hats.size)))
          for counts, hats in _chunks_one_by_one(*request)]
         for request in requests
     ]
-    pids = {chunk[0] for part in results for chunk in part}
-    if cpus == 1 or not hasattr(os, "fork"):
-        assert pools == [] and pids == {os.getpid()}
-    else:
-        # three chunks: never more workers than CPUs or chunks
-        assert pools == [min(cpus, 3)]
-        assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
+    for _ in range(2):
+        results = map_chunks(_where, requests)
+        assert [[chunk[1:] for chunk in part] for part in results] == want
+        pids = _pids(results)
+        if cpus == 1 or not hasattr(os, "fork"):
+            assert pools == [] and pids == {os.getpid()}
+        else:
+            # three chunks: never more workers than CPUs or chunks, and the
+            # second map forks no pool, since the first one's is large enough
+            assert pools == [min(cpus, 3)]
+            assert os.getpid() not in pids and len(pids) <= min(cpus, 3)
     with pytest.raises(ValueError, match="replications must be >= 1"):
         map_chunks(_where, [(ProcessParams(10, 2), 10, 1), (ProcessParams(10, 2), 0, 1)])
     for bad_seed in (
@@ -536,18 +566,17 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, mo
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("replications, chunks", [(10, 1), (2 * chunk_size(10, 2) + 5, 3)])
-def test_simulate_batch_runs_on_one_thread_per_cpu_and_chunk(cpus, replications, chunks, monkeypatch):
-    """One fan-out: the chunks go through ``map_chunks``' pool of ``min(cpus, chunks)`` workers."""
+def test_simulate_batch_runs_on_one_thread_per_cpu_and_chunk(cpus, replications, chunks, pools,
+                                                             monkeypatch):
+    """One fan-out: the chunks go through ``map_chunks``' pool of ``min(cpus, chunks)`` workers.
+
+    The pool is forked once: a second batch reuses it.
+    """
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    simulate_batch(SimConfig(ProcessParams(10, 2), replications, seed=1))
+    config = SimConfig(ProcessParams(10, 2), replications, seed=1)
+    first = simulate_batch(config)
+    again = simulate_batch(config)
+    assert np.array_equal(first.std_moments, again.std_moments)
     workers = min(cpus, chunks)
     assert pools == ([workers] if workers > 1 and hasattr(os, "fork") else [])
 
@@ -574,8 +603,7 @@ def test_shift_keeps_no_list_of_the_rows_mean():
     assert peak < 2.5e6
 
 
-def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+def _mapped_while_another_thread_runs():
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
@@ -585,7 +613,143 @@ def test_map_chunks_stays_in_process_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(timeout=30)
     assert not other.is_alive()
-    assert {chunk[0] for chunk in results[0]} == {os.getpid()}
+    return _pids(results)
+
+
+def test_map_chunks_stays_in_process_while_another_thread_runs(pools, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    # no pool yet: forking now could hand a child a lock the other thread holds
+    assert _mapped_while_another_thread_runs() == {os.getpid()}
+    assert pools == []
+    if hasattr(os, "fork"):
+        # once the pool exists, no fork is needed, so other threads do not matter
+        map_chunks(_where, [(ProcessParams(10, 2), chunk_size(10, 2) + 5, 1)])
+        assert os.getpid() not in _mapped_while_another_thread_runs()
+        assert pools == [2]
+
+
+@_fork_only
+def test_two_maps_run_on_the_workers_of_one_fork(pools, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    first = _pids(map_chunks(_where, _FOUR_CHUNKS))
+    second = _pids(map_chunks(_where, _FOUR_CHUNKS))
+    assert pools == [2]
+    assert os.getpid() not in first | second and len(first | second) <= 2
+
+
+@_fork_only
+@pytest.mark.parametrize("cpus, chunks", [((2, 3), (2, 2)), ((3, 3), (2, 3))])
+def test_the_pool_reforks_only_after_the_old_one_is_joined(cpus, chunks, monkeypatch):
+    """A changed CPU count, or a map that needs more workers, forks a new pool once the old one is gone."""
+    simulate._shut_down_pool()
+    forks = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            old = _pids(done)
+            forks.append((max_workers, threading.active_count(), any(_alive(p) for p in old)))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    done = []
+    for cpu_count, chunk_count in zip(cpus, chunks):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpu_count)
+        request = [(ProcessParams(10, 2), chunk_count * chunk_size(10, 2), 1)]
+        done.append(map_chunks(_where, request)[0])
+    # the second pool is forked with no thread of the first left and its workers reaped
+    assert forks == [(2, 1, False), (chunks[1], 1, False)]
+    assert not _pids(done[:1]) & _pids(done[1:])
+
+
+def _killed(parent, counts, hats):
+    """A reducer that kills the worker it runs on (and does nothing in ``parent``)."""
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return os.getpid()
+
+
+@_fork_only
+def test_a_killed_worker_breaks_that_map_and_the_next_forks_afresh(pools, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    before = map_chunks(_where, _FOUR_CHUNKS)
+    with pytest.raises(BrokenProcessPool):
+        map_chunks(functools.partial(_killed, os.getpid()), _FOUR_CHUNKS)
+    assert not any(_alive(pid) for pid in _pids(before))
+    after = map_chunks(_where, _FOUR_CHUNKS)
+    assert [chunk[1:] for chunk in after[0]] == [chunk[1:] for chunk in before[0]]
+    assert pools == [2, 2]
+    assert os.getpid() not in _pids(after) and not _pids(after) & _pids(before)
+
+
+@_fork_only
+def test_a_forked_child_maps_without_the_parents_pool(pools, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    workers = _pids(map_chunks(_where, _FOUR_CHUNKS))
+    reader, writer = os.pipe()
+    child = os.fork()
+    if child == 0:  # the child reports its map's pids and fingerprints, and never returns
+        code = 1
+        try:
+            os.close(reader)
+            results = map_chunks(_where, _FOUR_CHUNKS)
+            os.write(writer, json.dumps(results).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    try:
+        ready, _, _ = select.select([reader], [], [], 60)
+        report = os.read(reader, 1 << 16) if ready else b""
+    finally:
+        os.close(reader)
+        if not ready:
+            os.kill(child, signal.SIGKILL)
+        _, status = os.waitpid(child, 0)
+    assert ready, "the child's map did not finish"
+    assert os.waitstatus_to_exitcode(status) == 0
+    results = json.loads(report)
+    want = [[list(chunk[1:]) for chunk in part] for part in map_chunks(_where, _FOUR_CHUNKS)]
+    assert [[chunk[1:] for chunk in part] for part in results] == want
+    assert not _pids(results) & (workers | {os.getpid()})
+    assert pools == [2]  # the parent's pool is still the one it forked
+
+
+_MAPS_TWICE = """
+import os
+from spacings import simulate, verify
+from spacings.model import ProcessParams
+
+
+def where(counts, hats):
+    return os.getpid()
+
+
+def test_maps_twice():
+    simulate._cpu_count = lambda: 2
+    request = [(ProcessParams(10, 2), 4 * simulate.chunk_size(10, 2), 1)]
+    pids = {pid for _ in range(2) for pid in simulate.map_chunks(where, request)[0]}
+    with open(os.environ["PIDS_OUT"], "w") as out:
+        print(os.getpid(), *pids, file=out)
+"""
+
+
+def test_a_session_that_maps_twice_leaves_no_worker_and_nothing_on_stderr(tmp_path):
+    # a pytest session: its module teardown is where an executor left to the
+    # garbage collector once printed an ignored exception
+    (tmp_path / "test_maps_twice.py").write_text(_MAPS_TWICE)
+    out = tmp_path / "pids"
+    src = str(Path(spacings.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_maps_twice.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PIDS_OUT": str(out)},
+    )
+    assert done.returncode == 0, done.stdout
+    assert done.stderr == ""
+    parent, *pids = map(int, out.read_text().split())
+    if hasattr(os, "fork"):
+        assert 1 <= len(pids) <= 2 and parent not in pids
+    assert not any(_alive(pid) for pid in pids if pid != parent)
 
 
 @pytest.mark.parametrize("n, k", [(10, 2), (12, 4), (400, 3)])
