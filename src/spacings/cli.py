@@ -236,7 +236,6 @@ def _parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("exact", help="exact terminal-state distribution")
     ex.add_argument("--n", type=int, required=True)
     ex.add_argument("--k", type=int, required=True)
-    ex.add_argument("--method", choices=("split", "direct"), default="split")
     ex.add_argument("--cap", type=int, help="override the size cap")
     ex.add_argument(
         "--compare",
@@ -348,14 +347,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         if tv != 0:
             code = 1
     else:
-        fn = exact.pmf_split if args.method == "split" else exact.pmf_direct
-        pmf = fn(params, **kw)
-        payload = {"states": pmf.to_rows()}
+        payload = {"states": exact.pmf_split(params, **kw).to_rows()}
     env = build_envelope(
-        "exact",
-        {"n": args.n, "k": args.k, "method": args.method, "compare": args.compare},
-        payload,
-        diagnostics,
+        "exact", {"n": args.n, "k": args.k, "compare": args.compare}, payload, diagnostics
     )
     _write(env, args.out, args.format)
     return code

@@ -38,11 +38,6 @@ class ProcessParams:
         if self.n < 0:
             raise ValueError(f"row length n must be >= 0, got {self.n}")
 
-    @property
-    def spacing_lengths(self) -> range:
-        """Lengths a terminal spacing can take (1..k-1)."""
-        return range(1, self.k)
-
 
 class GapCounts(NamedTuple):
     """Terminal configuration of one run of the process.

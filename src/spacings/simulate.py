@@ -31,6 +31,7 @@ import atexit
 import functools
 import math
 import os
+import sys
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -341,13 +342,17 @@ def map_chunks(
     were at the fork, so a function patched after the fork runs unpatched
     there.  A pool that breaks, a worker killed for instance, is dropped:
     that map raises ``BrokenProcessPool`` and the next one forks afresh.
+    While the module of ``fn`` is still being imported, a worker would block
+    for good on its import lock, so the chunks run here.
     """
     jobs, owners = [], []
     for owner, (params, replications, seed) in enumerate(requests):
         for index, m in enumerate(_chunk_sizes(params, replications, seed)):
             jobs.append((fn, params, m, seed, index))
             owners.append(owner)
-    pool = _worker_pool(len(jobs))
+    module = sys.modules.get(getattr(fn, "func", fn).__module__)
+    importing = getattr(getattr(module, "__spec__", None), "_initializing", False)
+    pool = None if importing else _worker_pool(len(jobs))
     if pool is None:
         done = [_run_chunk(job) for job in jobs]
     else:

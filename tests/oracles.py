@@ -10,6 +10,7 @@ code paths.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -132,6 +133,44 @@ def series_constants(k: int, digits: int = 40) -> tuple[list[Decimal], Decimal]:
         ]
         vacancy = 1 - k * sum(an / (n + 1) for n, an in enumerate(a)) / total
     return rates, vacancy
+
+
+def cov_rate_twin(k: int, i: int, j: int, digits: int = 30) -> tuple[Decimal, Decimal]:
+    """Covariance rate of the length-i and length-j counts, by the cross recursion in ``decimal``.
+
+    Returns (rate at row N, |its move over rows N-k..N|) for N = 22k + 80.
+    Mean columns i and j come from the one-step mean recursion; the raw
+    second moments from
+        second[n] = (2 sum_{h<L} second[h] + 2 sum_{h<=n-k} g_i[h] g_j[n-k-h]) / L,
+    L = n-k+1 (the split sum of g_i[h] g_j[n-k-h] + g_j[h] g_i[n-k-h] is
+    twice either half); the rate is (second[N] - g_i[N] g_j[N]) / (N+k).
+    It shares no code with the float loop, its row choice or its layout.
+    """
+    n_max = 22 * k + 80
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def column(length: int) -> list[Decimal]:
+            rows = [Decimal(int(n == length)) for n in range(k)] + [Decimal(0)]
+            for n in range(k + 1, n_max + 1):
+                L = n - k + 1
+                rows.append(((L - 1) * rows[-1] + 2 * rows[n - k]) / L)
+            return rows
+
+        gi, gj = column(i), column(j)
+        gj_rev = gj[::-1]  # gj_rev[n_max - x] = gj[x]
+        second = [Decimal(int(n == i == j)) for n in range(k)]
+        total = Decimal(0)  # second[0] + ... + second[L-1]
+        for n in range(k, n_max + 1):
+            L, m = n - k + 1, n - k
+            total += second[m]
+            conv = sum(map(operator.mul, gi[: m + 1], gj_rev[n_max - m :]), Decimal(0))
+            second.append(2 * (total + conv) / L)
+
+        def rate(n: int) -> Decimal:
+            return (second[n] - gi[n] * gj[n]) / (n + k)
+
+        return rate(n_max), abs(rate(n_max) - rate(n_max - k))
 
 
 def mean_recursion_numpy_step(k: int, n_max: int) -> np.ndarray:

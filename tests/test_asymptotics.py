@@ -1,6 +1,7 @@
 """Limiting constants: quadrature route, kernel structure, fixed point."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -245,6 +246,44 @@ def test_rational_twin_cov_rates_meet_both_routes(k):
     assert np.abs(twin - constants_by_extrapolation(k).cov_rates).max() <= 1e-15
     q = constants_by_quadrature(k)
     assert np.abs(twin - q.cov_rates).max() <= q.diagnostics["cov_est_abs_error"]
+
+
+_TWIN_ENTRIES = [
+    (k, i, j)
+    for k, middle in [(16, (7, 8)), (32, (15, 16)), (64, (31, 32))]
+    for i, j in [(1, 1), (k - 1, k - 1), (1, k - 1), middle]
+]
+
+
+@functools.cache
+def _cov_twin(k, i, j):
+    rate, drift = oracles.cov_rate_twin(k, i, j)
+    return float(rate), float(drift)
+
+
+@functools.cache
+def _extrapolated_cov_rates(k):
+    return constants_by_extrapolation(k).cov_rates
+
+
+@pytest.mark.parametrize("k, i, j", _TWIN_ENTRIES)
+def test_extrapolated_cov_rates_meet_the_decimal_twin(k, i, j):
+    # the 30-digit twin has settled: it moves by less than 1e-22 of the unit
+    # over its last k rows.  Measured gaps, worst per k: 1.9e-15, 3.2e-15 and
+    # 1.5e-15 at k = 16, 32 and 64 (2.6e-14, 3.4e-14 and 5.3e-13 when the
+    # rates were read where a settle trial stopped)
+    twin, drift = _cov_twin(k, i, j)
+    e = _extrapolated_cov_rates(k)
+    unit = math.sqrt(abs(e[i - 1, i - 1] * e[j - 1, j - 1]))
+    assert drift < 1e-20 * unit
+    assert abs(e[i - 1, j - 1] - twin) < 1e-14 * unit
+
+
+@pytest.mark.parametrize("k, i, j", _TWIN_ENTRIES)
+def test_quadrature_cov_rates_meet_the_decimal_twin_within_their_error(k, i, j):
+    twin, _ = _cov_twin(k, i, j)
+    q = cov_rates_by_quadrature(k)
+    assert abs(q.matrix[i - 1, j - 1] - twin) <= q.est_abs_error[i - 1, j - 1]
 
 
 T_GRID = np.linspace(-5, 5, 41)

@@ -32,10 +32,6 @@ def test_params_reject_bad_values():
         ProcessParams(n=5.0, k=2)  # type: ignore[arg-type]
 
 
-def test_spacing_lengths_enumerates_short_gaps():
-    assert list(ProcessParams(10, 4).spacing_lengths) == [1, 2, 3]
-
-
 def test_single_spacing_state_small_rows():
     assert single_spacing_state(0, 3) == GapCounts((0, 0), 0)
     assert single_spacing_state(2, 3) == GapCounts((0, 1), 0)

@@ -89,7 +89,7 @@ def test_mean_tables_are_c_contiguous(k):
 
 @pytest.mark.parametrize("k", [*range(2, 9), 33, 64])
 def test_settled_rows_hold_the_mean_table_bit_for_bit(k):
-    # the mean rows grow with the cross rows, rebuilt at each doubling
+    # the mean rows end with the cross rows, at the row the rates are read
     g, packed, t = moments._settled_rows(k, MAX_N_MAX)
     assert t is not None and len(g) == len(packed) == t + 1
     assert np.array_equal(g, mean_recursion(k, t).values)
@@ -172,31 +172,24 @@ def test_cov_rate_k2_holds_from_the_switch_to_the_largest_table():
 
 
 @pytest.mark.parametrize("k", range(2, 9))
-def test_cross_table_switches_and_keeps_its_rows(monkeypatch, k):
+def test_cross_table_switches_and_keeps_its_rows(k):
     t = cross_moment_recursion(k, 2000)
     n0 = t.continued_from
     assert n0 is not None
-    monkeypatch.setattr(moments, "CONTINUATION_TOL", 0.0)
-    full = cross_moment_recursion(k, 2000)
+    # a table that ends before the switch row is all loop rows
+    full = cross_moment_recursion(k, n0 - 1)
     assert full.continued_from is None
     # the rows the loop filled are the full recursion's, bit for bit
-    assert np.array_equal(t.cov[: n0 + 1], full.cov[: n0 + 1])
+    assert np.array_equal(t.cov[:n0], full.cov)
     # later rows are the rates at n0 times n+k
     n = np.arange(n0 + 1, 2001)[:, None, None]
     assert np.array_equal(t.cov[n0 + 1 :], t.cov_rate(n0) * (n + k))
 
 
-def test_extrapolation_raises_when_no_table_settles(monkeypatch):
-    monkeypatch.setattr(moments, "CONTINUATION_TOL", 0.0)
-    monkeypatch.setattr(moments, "MAX_N_MAX", 200)
-    with pytest.raises(ArithmeticError, match="do not settle by n_max 200"):
-        constants_by_extrapolation(2)
-
-
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 33])
 def test_cross_table_switch_row_depends_on_k_alone(k):
-    # trials run only at the end of a full k-row step, so a table that ends
-    # in a partial step reports no switch row of its own
+    # the switch row is 17k - 1 whenever the table reaches it; a table that
+    # ends before it reports none of its own
     t = cross_moment_recursion(k, 40 * k).continued_from
     for n_max in range(t - 2 * k, t + 2 * k + 1):
         want = t if n_max >= t else None
@@ -228,8 +221,8 @@ def test_cross_table_ending_before_its_settle_row_makes_no_full_size_temporary()
 
 @pytest.mark.parametrize("k, n_max", [(2, MAX_N_MAX), (8, 20000)])
 def test_cross_table_builds_no_mean_row_past_its_loop(monkeypatch, k, n_max):
-    # the loops settle at t = 37 and 127; no mean row past them is built,
-    # and no column twice: the first 16(k+1) rows hold t
+    # the loops stop at t = 17k - 1 = 33 and 135; no mean row past them is
+    # built, and no column twice
     asked = []
     column = moments._mean_column
 

@@ -752,6 +752,46 @@ def test_a_session_that_maps_twice_leaves_no_worker_and_nothing_on_stderr(tmp_pa
     assert not any(_alive(pid) for pid in pids if pid != parent)
 
 
+_MAPS_ON_IMPORT = """
+import json
+
+import numpy as np
+
+from spacings import simulate
+from spacings.model import ProcessParams
+
+
+def fingerprint(counts, hats):
+    return counts.shape[0], int(hats @ np.arange(hats.size))
+
+
+simulate._cpu_count = lambda: 2
+print(json.dumps(simulate.map_chunks(fingerprint, [(ProcessParams(10, 2), 200_000, 1)])))
+"""
+
+
+def test_a_map_run_while_its_reducers_module_imports_finishes(tmp_path):
+    # a worker forked now would block for good on the module's import lock
+    (tmp_path / "maps_on_import.py").write_text(_MAPS_ON_IMPORT)
+    src = str(Path(spacings.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import maps_on_import"],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # its own process group: a timeout kills its workers too
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)])},
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("importing a module that maps on import did not finish within 60 s")
+    assert child.returncode == 0, err
+    request = [(ProcessParams(10, 2), 200_000, 1)]
+    want = [[list(chunk[1:]) for chunk in part] for part in map_chunks(_where, request)]
+    assert json.loads(out) == want
+
+
 @pytest.mark.parametrize("n, k", [(10, 2), (12, 4), (400, 3)])
 def test_state_counter_is_the_serial_counter_at_any_worker_count(n, k, monkeypatch):
     params = ProcessParams(n, k)
