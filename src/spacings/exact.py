@@ -318,8 +318,9 @@ def empirical_counter(
     before a digit would take its radix to 2**62; ranks keep the order, and
     both spans are then at most the row count, so the key stays injective
     (for fewer than 2**31 rows).
-    ``np.unique`` counts the keys, and ``np.searchsorted`` finds each row's
-    key, whence one row of each state.  The states come in key order.
+    Keys are counted by ``np.bincount``, after their own dense ranks where
+    the radix exceeds the row count, and each key's slot keeps a row it
+    came from, whence one row of each state.  The states come in key order.
     """
     m = hats.shape[0]
     if m == 0:
@@ -337,10 +338,14 @@ def empirical_counter(
             key, radix = _dense_ranks(key)
         key = key * span + column
         radix *= span
-    distinct, freq = np.unique(key, return_counts=True)
-    first = np.empty(distinct.size, dtype=np.intp)
-    first[np.searchsorted(distinct, key)] = np.arange(m)
+    if radix > m:
+        key, radix = _dense_ranks(key)
+    freq = np.bincount(key, minlength=radix)
+    row = np.empty(radix, dtype=np.intp)
+    row[key] = np.arange(m)
+    present = np.flatnonzero(freq)
+    row = row[present]
     return {
         GapCounts(tuple(c), h): f
-        for c, h, f in zip(counts[first].tolist(), hats[first].tolist(), freq.tolist())
+        for c, h, f in zip(counts[row].tolist(), hats[row].tolist(), freq[present].tolist())
     }

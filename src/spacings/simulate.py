@@ -20,9 +20,11 @@ wherever it runs, ``map_chunks`` may hand chunks to forked worker
 processes without changing a single draw.  Those workers are forked once,
 on the process's first map of more than one chunk, and serve its later
 maps; they see the modules as they were at the fork, and each reducer
-reaches them by name.  The vector engine decodes its
-offsets from the stream's raw 64-bit words (``_offsets``), so a run's start
-count n-k+1 must lie below 2**32.
+reaches them by name.  A chunk is small enough for its split-round arrays
+to stay in cache (``_CHUNK_ROWS``), and the pool gets the chunks in
+batches of up to ``_BATCH_CHUNKS``.  The vector engine decodes its offsets
+from the stream's raw 64-bit words (``_offsets``), so a run's start count
+n-k+1 must lie below 2**32.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENT_BUDGET = 1 << 22
+# rows per chunk at most: at small n a chunk's split-round arrays then fit a 2 MB L2;
+# sampling plus collapse took 108/92/85 ns per replication at (10,2)/(10,3)/(12,4)
+# against 171/122/126 ns at 2**16 rows (one process, 2-vCPU x86 VM, medians of 7)
+_CHUNK_ROWS = 1 << 14
+# chunks per pool message at most, 2**16 rows at small n: check 04's map of 3 x 250,000
+# replications on 2 workers took 43.5 ms against 56.4 ms at one 2**16-row chunk per
+# message (same VM, medians of 15)
+_BATCH_CHUNKS = 4
 # round records (int64 entries) held before a chunk's tallies are brought up to date
 _TALLY_BATCH = 1 << 18
 # rows whose moment powers are held at once: 4096 * (2*order+1) floats
@@ -64,9 +74,14 @@ _LOW_BITS = 0xFFFFFFFF
 
 
 def chunk_size(n: int, k: int) -> int:
-    """Replications per chunk; fixed by (n, k) so stream layout never varies."""
-    blocks = max(1, n // k)  # bounds the runs one split round holds per replication
-    return max(1, min(1 << 16, _CHUNK_ELEMENT_BUDGET // blocks))
+    """Replications per chunk; fixed by (n, k) so stream layout never varies.
+
+    At most ``_CHUNK_ROWS``, and fewer where a row's larger array, the n//k
+    runs of a split round or the k-1 columns of the tally, would take the
+    chunk past ``_CHUNK_ELEMENT_BUDGET`` entries.
+    """
+    blocks = max(1, n // k, k - 1)
+    return max(1, min(_CHUNK_ROWS, _CHUNK_ELEMENT_BUDGET // blocks))
 
 
 def _check_request(params: ProcessParams, replications: int, seed: int) -> None:
@@ -335,12 +350,14 @@ def map_chunks(
     it ran.  With more than one CPU and chunk and a platform that can fork,
     the chunks run on the process's pool of forked workers (``_worker_pool``
     says when it is forked and when the chunks run here instead, one after
-    another).  The pool lasts for the process: its first multi-chunk map
-    pays the fork, later maps do not.  ``fn`` then travels by name, so it
-    must be a module-level function, or a ``functools.partial`` of one,
-    whose result pickles; the workers look it up in the modules as they
-    were at the fork, so a function patched after the fork runs unpatched
-    there.  A pool that breaks, a worker killed for instance, is dropped:
+    another).  The pool gets them in batches of consecutive chunks, at most
+    ``_BATCH_CHUNKS`` to a message and at least two messages per CPU, so
+    that small chunks do not each pay a round trip.  The pool lasts for the
+    process: its first multi-chunk map pays the fork, later maps do not.
+    ``fn`` then travels by name, so it must be a module-level function, or
+    a ``functools.partial`` of one, whose result pickles; the workers look
+    it up in the modules as they were at the fork, so a function patched
+    after the fork runs unpatched there.  A pool that breaks, a worker killed for instance, is dropped:
     that map raises ``BrokenProcessPool`` and the next one forks afresh.
     While the module of ``fn`` is still being imported, a worker would block
     for good on its import lock, so the chunks run here.
@@ -358,8 +375,9 @@ def map_chunks(
     else:
         from concurrent.futures.process import BrokenProcessPool
 
+        batch = max(1, min(_BATCH_CHUNKS, len(jobs) // (2 * _cpu_count())))
         try:
-            done = list(pool.map(_run_chunk, jobs))
+            done = list(pool.map(_run_chunk, jobs, chunksize=batch))
         except BrokenProcessPool:
             _shut_down_pool()
             raise

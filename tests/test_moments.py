@@ -191,7 +191,9 @@ def test_cross_table_switch_row_depends_on_k_alone(k):
     # the switch row is 17k - 1 whenever the table reaches it; a table that
     # ends before it reports none of its own
     t = cross_moment_recursion(k, 40 * k).continued_from
-    for n_max in range(t - 2 * k, t + 2 * k + 1):
+    assert t == 17 * k - 1
+    # a full step and a partial one on either side of the switch row
+    for n_max in (t - k, t - 1, t, t + 1, t + k):
         want = t if n_max >= t else None
         assert cross_moment_recursion(k, n_max).continued_from == want, n_max
 

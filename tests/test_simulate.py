@@ -80,13 +80,22 @@ class ScriptedRNG:
 
 def test_chunk_size_bounds_and_determinism():
     assert chunk_size(10, 2) == chunk_size(10, 2)
-    assert 256 <= chunk_size(10, 2) <= 1 << 16
+    # cache-sized at small n; layouts with n // k > 256 are those of 2**16-row chunks
+    assert chunk_size(10, 2) == chunk_size(12, 4) == 1 << 14
+    assert chunk_size(2000, 5) == 10_485 and chunk_size(60_000, 2) == 139
     # one chunk's split rounds stay within the element budget up to n//k = budget
     for blocks in (16384, 16385, 10**6 // 2, _CHUNK_ELEMENT_BUDGET):
         assert 1 <= chunk_size(2 * blocks, 2) <= 1 << 16
         assert chunk_size(2 * blocks, 2) * blocks <= _CHUNK_ELEMENT_BUDGET
     # more blocks per replication means smaller chunks
     assert chunk_size(10**6, 2) <= chunk_size(100, 2)
+
+
+@pytest.mark.parametrize("k", [300, 1000, 5000])
+@pytest.mark.parametrize("n", [1, 10, 600])
+def test_chunk_size_budgets_the_tally_columns_at_large_k(n, k):
+    # a chunk's tally holds k - 1 counts per row, more than its n // k runs here
+    assert chunk_size(n, k) * max(n // k, k - 1) <= _CHUNK_ELEMENT_BUDGET
 
 
 def test_pool_from_row():
@@ -438,7 +447,7 @@ REDUCTION_SHAPES = [
     (40, 3, None, 3000),
     (200, 4, (1.0, -2.0, 0.5), 3000),
 ]
-THREE_CHUNKS = (12, 4, (1.0, 0.5, 2.0), 2 * chunk_size(12, 4) + 137)
+NINE_CHUNKS = (12, 4, (1.0, 0.5, 2.0), 8 * chunk_size(12, 4) + 137)
 
 
 def _batch_and_reference(n, k, projection, replications, order):
@@ -451,7 +460,7 @@ def _batch_and_reference(n, k, projection, replications, order):
 @pytest.mark.parametrize(
     "n, k, projection, replications, order",
     [(*shape, order) for shape in REDUCTION_SHAPES for order in (2, 6, 10, 33)]
-    + [(*THREE_CHUNKS, order) for order in (6, 33)],
+    + [(*NINE_CHUNKS, order) for order in (6, 33)],
 )
 def test_batch_reduction_is_bit_identical_to_per_chunk_comb(
     n, k, projection, replications, order, monkeypatch
@@ -562,6 +571,31 @@ def test_map_chunks_runs_in_chunk_order_on_at_most_one_worker_per_chunk(cpus, po
     ):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             bad_seed()
+
+
+@_fork_only
+@pytest.mark.parametrize("chunks, batch", [(1, None), (2, 1), (3, 1), (4, 1), (5, 1), (8, 2),
+                                           (9, 2), (12, 3), (17, 4)])
+def test_map_chunks_batches_the_pools_messages_and_keeps_chunk_order(chunks, batch, monkeypatch):
+    """At most four chunks to a message, at least two messages per CPU; the results are unmoved."""
+    simulate._shut_down_pool()
+    batches = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            batches.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    request = (ProcessParams(10, 2), (chunks - 1) * chunk_size(10, 2) + 7, 5)
+    want = [(counts.shape[0], int(hats @ np.arange(hats.size)))
+            for counts, hats in _chunks_one_by_one(*request)]
+    (results,) = map_chunks(_where, [request])
+    assert [chunk[1:] for chunk in results] == want
+    assert batches == ([] if batch is None else [batch])
+    pids = _pids([results])
+    assert pids == {os.getpid()} if chunks == 1 else os.getpid() not in pids
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
