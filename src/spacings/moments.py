@@ -7,10 +7,9 @@ of the terminal counts into an average of products of lower-n moments,
 which we evaluate exactly, either in float64 or in rational arithmetic.
 
 Expected counts and covariances grow linearly, with a finite-n correction
-that dies off faster than any geometric rate.  So the covariance table stops
-at the fixed row 17k-1, past that correction, and the limiting constants
-("extrapolation") are the rates at that row: within 7.8e-15, in units of
-sqrt(|Sigma_ii Sigma_jj|), of a 30-digit decimal twin at every k = 2..64.
+that dies off faster than any geometric rate.  So the covariance table and
+the simulator's shift read their rates at the fixed row 17k-1, past that
+correction, and the limiting constants ("extrapolation") are the rates there.
 
 The same holds for every cumulant of a projection c . X_n: the projected
 recursion, centred on the asymptote of its mean, builds its later raw and
@@ -26,10 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import MutableSequence, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +56,10 @@ STABILIZATION_LOOKBACK = 10
 # largest gap, in units of the standardized law, between a table's rows and
 # its rates continued, at which the rates take over
 CONTINUATION_TOL = 1e-12
+# rates are read at row t = 17k - 1: the covariance rates lie within 7.8e-15 sqrt|Sigma_ii
+# Sigma_jj| (3.5e-14 at 16k - 1) of a 30-digit decimal twin (tests/oracles.py) at k = 2..64,
+# the rates of c . X_n within 7.9e-22 sum|c_j rate_j| (3.1e-20) of 60-digit twins, k <= 1024
+_SETTLED_BLOCKS = 17
 # Largest arguments the recursions and quadratures accept, checked before
 # anything is allocated; README "Numerical notes" gives the run times and
 # memory at them.
@@ -148,23 +150,29 @@ class DriftBoundResult:
     per_n: np.ndarray  # per_n[n] = max_j || mean[j] + mean[n-k-j] - mean[n] ||_2
 
 
-def _mean_column(c: Sequence[float], n_max: int, rows: MutableSequence[float]) -> MutableSequence[float]:
-    """Append rows 0..n_max of E(c . X_n) to the empty ``rows``, which it returns.
+def _mean_column(c: Sequence[float], n_max: int) -> list[float]:
+    """Rows 0..n_max of E(c . X_n), in one list.
 
     Rows n < k hold c_n (a single run of length n), rows 0 and k hold 0;
     the recursion of :func:`mean_recursion` is linear, so later rows are
-    E(c . X_n).  Row n reads row n-k as ``rows[-k]``: a list keeps every
-    row, a ``deque(maxlen=k)`` the last k.  Python floats take the same
-    IEEE operations in the same order as a numpy step per row, so the same
-    bits, without numpy's per-call cost.
+    E(c . X_n).  Python floats take a numpy step's IEEE operations per row,
+    in its order, so its bits, without numpy's per-call cost.
     """
     k = len(c) + 1
-    rows.extend([0.0, *c, 0.0][: n_max + 1])
-    prev, back = rows[-1], -k
-    for L in range(2, n_max - k + 2):  # row n = L + k - 1
-        prev = ((L - 1) * prev + 2.0 * rows[back]) / L
+    rows = [0.0, *c, 0.0][: n_max + 1]
+    prev = rows[-1]
+    for j in range(1, n_max - k + 1):  # row n = j + k reads row n - k = j
+        prev = (j * prev + 2.0 * rows[j]) / (j + 1)
         rows.append(prev)
     return rows
+
+
+def _mean_at(c: Sequence[float], n: int) -> float:
+    """E(c . X_n) in O(min(n, 17k)): the column's row n to t = 17k - 1, rate(t) (n+k) past t."""
+    k = len(c) + 1
+    t = _SETTLED_BLOCKS * k - 1
+    row = _mean_column(c, min(n, t))[-1]
+    return row if n <= t else row / (t + k) * (n + k)
 
 
 def mean_recursion(k: int, n_max: int) -> MeanTable:
@@ -178,7 +186,7 @@ def mean_recursion(k: int, n_max: int) -> MeanTable:
     _check_kn(k, n_max)
     g = np.empty((n_max + 1, k - 1))
     for col, unit in enumerate(np.eye(k - 1).tolist()):
-        g[:, col] = _mean_column(unit, n_max, [])
+        g[:, col] = _mean_column(unit, n_max)
     return MeanTable(k, g)
 
 
@@ -215,10 +223,7 @@ def _settled_rows(k: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | None]
     the rates cov[t]/(t+k) are read, or to a cap below t, and t is None.
     """
     _check_kn(k, cap)
-    # the rates at row 17k-1 are within 7.8e-15 sqrt|Sigma_ii Sigma_jj| of a
-    # 30-digit decimal twin (tests/oracles.py) at every k = 2..64; at row
-    # 16k-1 they are within only 3.5e-14
-    t = 17 * k - 1
+    t = _SETTLED_BLOCKS * k - 1
     size = min(cap, t)
     i_idx, j_idx = np.triu_indices(k - 1)
     diag = np.flatnonzero(i_idx == j_idx)  # the packed column of each entry (i, i)
@@ -362,10 +367,9 @@ def projected_moment_recursion(
 
         T[n, m] = 1/(n-k+1) * sum_j sum_i C(m, i) T[j, i] T[n-k-j, m-i]
 
-    from their deterministic rows n <= k, and one loop runs both.  r is
-    the projected mean rate at n_max, E(c . X_{n_max})/(n_max+k) from the
-    single column ``_mean_column`` seeded with c, of which only the last k
-    rows are kept, so Z_n is centred up to rounding.
+    from their deterministic rows n <= k, and one loop runs both.  The
+    projected mean rate r = E(c . X_{n_max})/(n_max+k) reads row n_max of
+    ``_mean_column`` seeded with c, so Z_n is centred up to rounding.
     ``standardized`` takes the central moments, scaled by n**(-m/2), from
     Z without cancellation; ``raw`` holds the moments of c . X_n.
 
@@ -395,7 +399,7 @@ def projected_moment_recursion(
     c = tuple(float(v) for v in projection)
     if len(c) != k - 1:
         raise ValueError(f"projection must have length {k - 1}")
-    r = _mean_column(c, n_max, deque(maxlen=k))[-1] / (n_max + k)
+    r = _mean_column(c, n_max)[-1] / (n_max + k)
     binom = _binomial_rows(order)
     table, n0, rates = _split_tables(c, k, n_max, order, r, binom)
     W, done = order + 1, len(table)

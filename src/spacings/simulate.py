@@ -35,7 +35,7 @@ import math
 import os
 import sys
 import threading
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .exact import empirical_counter
 from .model import GapCounts, ProcessParams, validate_counts_batch
-from .moments import MAX_ORDER, _binomial_rows, _mean_column, _recenter
+from .moments import MAX_ORDER, _binomial_rows, _mean_at, _recenter
 
 __all__ = [
     "SimConfig",
@@ -164,11 +164,8 @@ def sample_gap(pool: GapPool, rng: np.random.Generator) -> tuple[int, int]:
     raise AssertionError("weight bookkeeping out of sync with pool contents")
 
 
-def simulate_once(
-    params: ProcessParams, rng: np.random.Generator | None = None
-) -> GapCounts:
+def simulate_once(params: ProcessParams, rng: np.random.Generator) -> GapCounts:
     """Run one replication to termination via the reference scalar path."""
-    rng = rng if rng is not None else np.random.default_rng()
     pool = GapPool.from_row(params)
     hats = 0
     while pool.weight > 0:
@@ -468,21 +465,20 @@ def simulate_batch(config: SimConfig) -> SampleStats:
     """Run the full batch and reduce to :class:`SampleStats`.
 
     The chunks go through ``map_chunks``, each reduced by ``_chunk_sums``
-    against one shift, which keeps the high powers well-conditioned: the
-    rounded expected projected count round(E(c . X_n)), from the last k
-    rows of ``moments._mean_column`` seeded with c, so a function of (params,
-    projection) alone.  The int64 sums merge exactly and the power sums by
-    one ``math.fsum`` per power, in chunk order, so neither depends on the
-    worker count.  The power means, moments about the shift, go through
-    ``moments._recenter`` once, and moment p is then scaled by n**(-p/2).
-    Raises OverflowError when the power sums or standardized moments leave
-    double range.
+    against one shift, which keeps the high powers well-conditioned:
+    round(E(c . X_n)) from ``moments._mean_at`` in O(min(n, 17k)), a
+    function of (params, projection) alone.  The int64 sums merge exactly
+    and the power sums by one ``math.fsum`` per power, in chunk order, so
+    neither depends on the worker count.  The power means, moments about
+    the shift, go through ``moments._recenter`` once, and moment p is then
+    scaled by n**(-p/2).  Raises OverflowError when the power sums or
+    standardized moments leave double range.
     """
     params = config.params
     n, k = params.n, params.k
     c = config.projection_vector()
     order = config.moment_order
-    shift = float(np.round(_mean_column(c.tolist(), n, deque(maxlen=k))[-1]))
+    shift = float(np.round(_mean_at(c.tolist(), n)))
     (parts,) = map_chunks(
         functools.partial(_chunk_sums, c, shift, order),
         [(params, config.replications, config.seed)],

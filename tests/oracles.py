@@ -173,6 +173,22 @@ def cov_rate_twin(k: int, i: int, j: int, digits: int = 30) -> tuple[Decimal, De
         return rate(n_max), abs(rate(n_max) - rate(n_max - k))
 
 
+def mean_column_twin(c: tuple[float, ...], n_max: int, digits: int = 40) -> list[Decimal]:
+    """Rows 0..n_max of E(c . X_n) by the one-step mean recursion in ``decimal``.
+
+    Rows n < k hold c_n (each float taken exactly), rows 0 and k hold 0, and
+    row n = ((n-k) row[n-1] + 2 row[n-k]) / (n-k+1) after them.
+    """
+    k = len(c) + 1
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rows = [Decimal(0), *map(Decimal, c), Decimal(0)][: n_max + 1]
+        for n in range(k + 1, n_max + 1):
+            L = n - k + 1
+            rows.append(((L - 1) * rows[-1] + 2 * rows[n - k]) / L)
+    return rows
+
+
 def mean_recursion_numpy_step(k: int, n_max: int) -> np.ndarray:
     """Expected counts via the one-step mean recursion, one numpy step per row.
 

@@ -289,8 +289,8 @@ def test_simulate_rejects_a_row_past_the_32_bit_decode_before_any_work(capsys, m
     def forbidden(*args):
         raise AssertionError("work started")
 
-    # unpatched, the shift column alone would loop to n = 2**32 + 2
-    monkeypatch.setattr(simulate, "_mean_column", forbidden)
+    # unpatched, the shift, then the sampler's split tree, would run at n = 2**32 + 2
+    monkeypatch.setattr(simulate, "_mean_at", forbidden)
     monkeypatch.setattr(simulate, "map_chunks", forbidden)
     tracemalloc.start()
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,28 @@ def test_settled_rows_hold_the_mean_table_bit_for_bit(k):
     g, packed, t = moments._settled_rows(k, MAX_N_MAX)
     assert t is not None and len(g) == len(packed) == t + 1
     assert np.array_equal(g, mean_recursion(k, t).values)
+
+
+PROJECTIONS = {
+    "ones": lambda k: (1.0,) * (k - 1),
+    "ramp": lambda k: tuple(float(j) for j in range(1, k)),
+    "mixed": lambda k: tuple((-1.0) ** j * (1.0 + j % 3) for j in range(1, k)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROJECTIONS))
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32, 64, 256, 1024])
+def test_mean_reader_is_its_column_to_17k_then_a_decimal_twin(k, kind):
+    """``_mean_at`` returns the column's bits to row 17k - 1, and past it lies
+    within 3e-14 relative of a 40-digit twin, continued by its rate past row 24k."""
+    c = PROJECTIONS[kind](k)
+    for n in (17 * k - 2, 17 * k - 1):
+        assert moments._mean_at(c, n) == moments._mean_column(c, n)[n]
+    top = 24 * k
+    twin = oracles.mean_column_twin(c, top)
+    for n in (17 * k, top, 10**6, 2**32 - 1):
+        want = twin[n] if n <= top else twin[top] / (top + k) * (n + k)
+        assert abs(Decimal(moments._mean_at(c, n)) - want) <= Decimal("3e-14") * abs(want), n
 
 
 def test_one_step_and_cumulative_forms_agree():
@@ -228,9 +251,9 @@ def test_cross_table_builds_no_mean_row_past_its_loop(monkeypatch, k, n_max):
     asked = []
     column = moments._mean_column
 
-    def spy(c, last_row, rows):
+    def spy(c, last_row):
         asked.append(last_row)
-        return column(c, last_row, rows)
+        return column(c, last_row)
 
     monkeypatch.setattr(moments, "_mean_column", spy)
     assert cross_moment_recursion(k, n_max).continued_from < 1000

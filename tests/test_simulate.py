@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import math
 import os
 import re
 import select
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import oracles
 import spacings
-from spacings import simulate
+from spacings import moments, simulate
 from spacings.exact import chi_square_gof, pmf_split, total_variation_empirical
 from spacings.model import GapCounts, ProcessParams, validate_counts
 from spacings.moments import (
@@ -261,7 +262,7 @@ def test_oversized_rows_are_rejected_before_any_work(monkeypatch):
         raise AssertionError("work started")
 
     monkeypatch.setattr(simulate, "_simulate_chunk", forbidden)
-    monkeypatch.setattr(simulate, "_mean_column", forbidden)
+    monkeypatch.setattr(simulate, "_mean_at", forbidden)
     SimConfig(ProcessParams(2**32, 2), 1, seed=0)  # 2**32 - 1 starts: the largest that fits
     message = re.escape("n - k + 1 < 2**32 starts")
     for params in (ProcessParams(2**32 + 1, 2), ProcessParams(2**32 + 6, 7)):
@@ -615,18 +616,40 @@ def test_simulate_batch_runs_on_one_thread_per_cpu_and_chunk(cpus, replications,
     assert pools == ([workers] if workers > 1 and hasattr(os, "fork") else [])
 
 
-@pytest.mark.parametrize("n, k", [(300, 100), (60_000, 2)])
+@pytest.mark.parametrize("n, k", [(300, 100), (60_000, 2), (2000, 100)])
 def test_simulate_batch_runs_past_the_recursions_bounds(n, k):
     """The shift column has no ``MAX_K``/``MAX_N_MAX``; it is round(E(c . X_n)) all the same."""
     assert k > MAX_K or n > MAX_N_MAX
     c = np.linspace(1.0, 2.0, k - 1)
     stats = simulate_batch(SimConfig(ProcessParams(n, k), 3, seed=4, projection=tuple(c)))
-    column = _mean_column(c.tolist(), n, [])  # every row, where the shift keeps the last k
+    column = _mean_column(c.tolist(), n)  # every row, where the shift stops at 17k - 1
     assert stats.shift == float(np.round(column[n]))
 
 
+def test_the_shift_reads_no_mean_row_past_17k_minus_1(monkeypatch):
+    """The shift for n = 2**32 - 1 comes from a 34-row mean column, and sampling is reached."""
+    column = moments._mean_column
+
+    def spy(c, last_row, *sink):  # *sink: where a column is handed a container to fill
+        assert last_row <= 17 * (len(c) + 1) - 1, f"a mean column to row {last_row}"
+        return column(c, last_row, *sink)
+
+    class Sampling(Exception):
+        pass
+
+    def stop(fn, requests):
+        raise Sampling(fn.args[1])  # fn is _chunk_sums bound to (c, shift, order)
+
+    for module in (moments, simulate):
+        monkeypatch.setattr(module, "_mean_column", spy, raising=False)
+    monkeypatch.setattr(simulate, "map_chunks", stop)
+    with pytest.raises(Sampling) as reached:
+        simulate_batch(SimConfig(ProcessParams(2**32 - 1, 2), 1, seed=0))
+    assert reached.value.args[0] == round(math.exp(-2) * (2**32 + 1))
+
+
 def test_shift_keeps_no_list_of_the_rows_mean():
-    # the shift reads row n of the mean column alone, from its last k rows
+    # the shift reads the mean rate at row 17k - 1 and keeps no list of n rows
     tracemalloc.start()
     try:
         stats = simulate_batch(SimConfig(ProcessParams(100_000, 2), 1, seed=0))
